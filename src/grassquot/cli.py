@@ -3,14 +3,14 @@
 Every subcommand emits a report {command, status, payload} either as JSON
 (sorted keys, byte-stable for a fixed seed) or as readable text.  Timing is
 reported only on request so that default output stays reproducible.  Exit
-code is 0 unless the status is "fail".
+code is 1 when the status is "fail", 2 on invalid input (reported as one
+line on stderr), and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -104,8 +104,6 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify_relations(args) -> int:
-    if args.family != "g37":
-        raise SystemExit(f"unknown relation family {args.family!r}")
     results = {}
     ok = True
     for name, (i, j), rhs in g37.RELATIONS:
@@ -152,7 +150,7 @@ def cmd_deodhar(args) -> int:
     word = args.word or W37_WORD
     n = max(word) + 1 if args.n is None else args.n
     if args.v is None:
-        raise SystemExit("--v is required unless --probe is given")
+        raise ValueError("--v is required unless --probe is given")
     if len(args.v) == n and sorted(args.v) == list(range(1, n + 1)):
         v = tuple(args.v)
     else:
@@ -174,13 +172,12 @@ def cmd_deodhar(args) -> int:
 
 def cmd_projnorm(args) -> int:
     sample = None if args.exhaustive else args.sample
-    rep = family_check(args.n, args.m, sample=sample, seed=args.seed)
-    payload = dict(rep)
+    payload = family_check(args.n, args.m, sample=sample, seed=args.seed)
     if args.oracle:
         rank, dim, equal = surjectivity_oracle(args.n, args.m)
         payload["oracle"] = {"rank": rank, "dim": dim, "equal": equal}
-        rep["ok"] = rep["ok"] and equal
-    return _report("projnorm", "pass" if rep["ok"] else "fail", payload, args)
+        payload["ok"] = payload["ok"] and equal
+    return _report("projnorm", "pass" if payload["ok"] else "fail", payload, args)
 
 
 def cmd_acceptance(args) -> int:
@@ -249,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("verify-relations", parents=[common], help="check the quadratic relations")
-    p.add_argument("--family", default="g37")
+    p.add_argument("--family", choices=["g37"], default="g37")
     p.set_defaults(fn=cmd_verify_relations)
 
     p = sub.add_parser("confluence", parents=[common], help="join ambiguities and verify normal forms")
@@ -268,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one-line permutation or increasing column tuple")
     p.add_argument("--enumerate", action="store_true",
                    help="list all distinguished subexpressions for v")
-    p.add_argument("--pds", action="store_true",
-                   help="report the unique positive distinguished subexpression")
     p.add_argument("--probe", choices=sorted(PROBE_CASES),
                    help="run one open-cell section probe")
     p.set_defaults(fn=cmd_deodhar)
@@ -284,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_projnorm)
 
     p = sub.add_parser("acceptance", parents=[common], help="run the acceptance criteria")
-    p.add_argument("--all", action="store_true", help="run every criterion (default)")
     p.add_argument("--only", type=int, default=None, help="run a single criterion")
     p.add_argument("--list", action="store_true", help="list criteria without running")
     p.set_defaults(fn=cmd_acceptance)
@@ -294,11 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    threads = os.environ.get("GRASSQUOT_THREADS")
-    if threads is not None and not threads.isdigit():
-        raise SystemExit("GRASSQUOT_THREADS must be a nonnegative integer")
     args._t0 = time.perf_counter()
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"grassquot {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .symbolic import Poly, PolyMatrix, identity_matrix, mat_det, mat_mul, submatrix_det
-from .tableaux import Tableau
+from .symbolic import (Poly, PolyMatrix, identity_matrix, mat_det, mat_mul,
+                       sparse_rank, submatrix_det)
+from .tableaux import LemmaViolation, Tableau
 from .weyl import (ColumnTuple, Perm, identity_perm, is_reduced,
                    perm_length, right_mul_s, word_to_perm)
 
@@ -97,7 +98,8 @@ def find_pds(word: tuple[int, ...], v: Perm, n: int) -> SubexpressionMask:
         raise NotBelowError(f"{v} is not below the element of {word}")
     mask = SubexpressionMask(tuple(word), tuple(keep), n)
     cls = classify(mask)
-    assert cls.pds and cls.product == tuple(v)
+    if not (cls.pds and cls.product == tuple(v)):
+        raise LemmaViolation(f"right-to-left scan of {word} for {v} is not its PDS")
     return mask
 
 
@@ -151,10 +153,6 @@ class CellMatrix:
     @property
     def nvars(self) -> int:
         return len(self.p_positions) + len(self.m_positions)
-
-    def var_names(self) -> list[str]:
-        return ([f"p{i}" for i in range(1, len(self.p_positions) + 1)]
-                + [f"m{i}" for i in range(1, len(self.m_positions) + 1)])
 
     def determinant(self) -> Poly:
         return mat_det(self.mat)
@@ -372,34 +370,6 @@ def section_basis_on_lowered(r: int, n: int, i: int) -> list[Tableau]:
     return enumerate_invariants(r, n, 1, minimal_schubert(r, n), lowered_v(r, n, i))
 
 
-def restricted_rank(tabs: list[Tableau], mask: SubexpressionMask) -> int:
-    """Rank of the restrictions of the given sections to the cell, over Q."""
-    rows = []
-    for t in tabs:
-        p = restrict_section(t, mask)
-        rows.append(dict(p.terms))
-    pivots: dict = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        for key in sorted(row):
-            if key in pivots:
-                factor = row[key]
-                for k2, v2 in pivots[key].items():
-                    s = row.get(k2, Fraction(0)) - factor * v2
-                    if s:
-                        row[k2] = s
-                    else:
-                        row.pop(k2, None)
-        live = [k for k, v in row.items() if v]
-        if live:
-            lead = min(live)
-            c = row[lead]
-            pivots[lead] = {k: v / c for k, v in row.items() if v}
-            rank += 1
-    return rank
-
-
 def descent_probe(r: int, n: int, i: int) -> dict:
     """Count sections on the lowered Richardson bound two independent ways.
 
@@ -414,7 +384,7 @@ def descent_probe(r: int, n: int, i: int) -> dict:
     word = canonical_word(w).letters
     v = lowered_v(r, n, i)
     mask = find_pds(word, v.to_permutation(), n)
-    rank = restricted_rank(tabs, mask)
+    rank = sparse_rank(restrict_section(t, mask).terms for t in tabs)
     gamma = gamma_tableau(r, n)
     a_i = w.entries[i - 1]
     gamma_row_count = gamma.rows[i - 1].count(a_i - 1)

@@ -16,9 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
-from .pluecker import PlueckerPoly, straighten, tableau_to_poly
+from .pluecker import (PlueckerPoly, _first_violation, restrict_schubert,
+                       straighten, tableau_to_poly)
+from .symbolic import sparse_rank
 from .tableaux import (LemmaViolation, Tableau, columns_form_chain, deglex_key,
                        enumerate_invariants, is_zero_weight)
 
@@ -482,37 +484,29 @@ def surjectivity_oracle(n: int, m: int,
     basis_m = enumerate_invariants(2, n, m, top, bottom)
     index = {tuple(t.columns()): k for k, t in enumerate(basis_m)}
     dim = len(basis_m)
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
-    from .pluecker import restrict_schubert
+    factors = [tuple(T.columns()) for T in basis1]
 
-    for combo in combinations_with_replacement(basis1, m):
-        poly = tableau_to_poly(combo[0])
-        for T in combo[1:]:
-            poly = poly * tableau_to_poly(T)
-        poly = restrict_schubert(straighten(poly), top, bottom)
-        row: dict[int, Fraction] = {}
-        for mono, c in poly.terms.items():
-            if mono not in index:
-                raise LemmaViolation(f"straightened product left the basis: {mono}")
-            row[index[mono]] = c
-        for lead in sorted(row):
-            if row.get(lead) and lead in pivots:
-                factor = row[lead]
-                for k2, v2 in pivots[lead].items():
-                    sdif = row.get(k2, Fraction(0)) - factor * v2
-                    if sdif:
-                        row[k2] = sdif
-                    else:
-                        row.pop(k2, None)
-        live = {k: v for k, v in row.items() if v}
-        if live:
-            lead = min(live)
-            c = live[lead]
-            pivots[lead] = {k: v / c for k, v in live.items()}
-            rank += 1
-            if rank == dim:
-                break
+    def rows():
+        # A product is determined by its column multiset.  Standard multisets
+        # come first: their rows are unit vectors, so full rank is usually
+        # reached before any product needs real straightening.
+        seen = set()
+        for standard in (True, False):
+            for combo in combinations_with_replacement(factors, m):
+                mono = tuple(sorted(chain.from_iterable(combo)))
+                if mono in seen or (_first_violation(mono) is None) != standard:
+                    continue
+                seen.add(mono)
+                poly = restrict_schubert(straighten(PlueckerPoly(2, n, {mono: 1})),
+                                         top, bottom)
+                row = {}
+                for std, c in poly.terms.items():
+                    if std not in index:
+                        raise LemmaViolation(f"straightened product left the basis: {std}")
+                    row[index[std]] = c
+                yield row
+
+    rank = sparse_rank(rows(), dim)
     return rank, dim, rank == dim
 
 

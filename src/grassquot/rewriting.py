@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
+from . import g37
+
 Mono = tuple[int, ...]
 PolyY = dict[Mono, Fraction]
 
@@ -83,17 +85,10 @@ def y_mono(k: int, *idxs: int) -> Mono:
 
 def g37_rules() -> RewriteSystem:
     """The six quadratic rules presenting the invariant ring on G(3,7)."""
-    k = 7
-    y = lambda *i: y_mono(k, *i)
-    one = Fraction(1)
+    k = g37.N
     return make_system(k, [
-        (y(1, 4), {y(2, 3): one, y(2, 7): -one, y(1, 7): one}),
-        (y(1, 5), {y(3, 3): one, y(3, 7): -one}),
-        (y(1, 6), {y(3, 4): one, y(4, 7): -one}),
-        (y(2, 5), {y(3, 4): one, y(3, 7): -one}),
-        (y(2, 6), {y(4, 4): one, y(4, 7): -one}),
-        (y(3, 6), {y(4, 5): one}),
-    ])
+        (y_mono(k, *lhs), {y_mono(k, *pair): Fraction(sign) for sign, pair in rhs})
+        for _name, lhs, rhs in g37.RELATIONS])
 
 
 def find_rule(p_mono: Mono, system: RewriteSystem) -> int | None:
@@ -280,10 +275,12 @@ def _parse_side(text: str, k: int) -> PolyY:
 
 def parse_rules(text: str, k: int) -> RewriteSystem:
     rules = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
+        if line.count("->") != 1:
+            raise ValueError(f"rule line {lineno} needs one '->': {line!r}")
         lhs_text, rhs_text = line.split("->")
         lhs_poly = _parse_side(lhs_text, k)
         if len(lhs_poly) != 1 or next(iter(lhs_poly.values())) != 1:

@@ -3,10 +3,13 @@
 Terms map exponent tuples to Fraction coefficients; the number of
 variables is fixed per polynomial.  Just enough ring operations for the
 cell-matrix computations: degrees stay small and coefficients exact.
+``sparse_rank`` is the one exact rank routine for sparse rows.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 Expo = tuple[int, ...]
@@ -85,9 +88,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def is_homogeneous(self) -> tuple[bool, int]:
         degs = {sum(e) for e in self.terms}
@@ -211,3 +211,42 @@ def mat_det(m) -> Poly:
 def submatrix_det(m, rows: tuple[int, ...], cols: tuple[int, ...]) -> Poly:
     sub = [[m[i][j] for j in cols] for i in rows]
     return mat_det(sub)
+
+
+# -- exact rank ----------------------------------------------------------------
+
+def sparse_rank(rows: Iterable[Mapping], ncols: int | None = None) -> int:
+    """Rank over Q of sparse rows (maps from sortable column keys to numbers).
+
+    Each row is reduced at its smallest live column for as long as that
+    column holds a pivot; elimination can bring in new columns, so the
+    candidates sit in a heap.  The row is stored as the pivot of the first
+    column that has none.  Rows are consumed lazily and no more are read
+    once the rank reaches ``ncols``: no row can raise it past the number
+    of columns.
+    """
+    pivots: dict = {}
+    for src in rows:
+        row = {k: Fraction(v) for k, v in src.items() if v}
+        heap = list(row)
+        heapq.heapify(heap)
+        while heap:
+            col = heapq.heappop(heap)
+            c = row.get(col)
+            if c is None:
+                continue
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = {k: v / c for k, v in row.items()}
+                break
+            for k, v in pivot.items():
+                s = row.get(k, 0) - c * v
+                if s:
+                    if k not in row:
+                        heapq.heappush(heap, k)
+                    row[k] = s
+                else:
+                    row.pop(k, None)
+        if len(pivots) == ncols:
+            break
+    return len(pivots)

@@ -183,10 +183,6 @@ def enumerate_invariants(r: int, n: int, m: int,
     return list(iter_invariants(r, n, m, w, v))
 
 
-def first_column_class(t: Tableau) -> ColumnTuple:
-    return t.first_column()
-
-
 def column_census(t: Tableau) -> Counter:
     """Multiset of the columns of t."""
     return Counter(t.columns())

@@ -53,11 +53,6 @@ def right_mul_s(p: Perm, i: int) -> Perm:
     return tuple(q)
 
 
-def ascends_right(p: Perm, i: int) -> bool:
-    """True iff l(p * s_i) = l(p) + 1, i.e. p(i) < p(i+1)."""
-    return p[i - 1] < p[i]
-
-
 def word_to_perm(letters: Iterable[int], n: int) -> Perm:
     p = list(range(1, n + 1))
     for i in letters:

@@ -83,7 +83,7 @@ def test_confluence_rule_file(tmp_path, capsys):
 
 
 def test_deodhar_pds(capsys):
-    code, out = run(capsys, "deodhar", "--v", "1,3,5", "--pds", "--json")
+    code, out = run(capsys, "deodhar", "--v", "1,3,5", "--json")
     assert code == 0
     assert check_json(out)["payload"]["kept_positions"] == [7, 8, 9]
 
@@ -187,3 +187,42 @@ def test_non_confluent_rules_fail_with_exit_one(tmp_path, capsys):
     report = check_json(out)
     assert report["status"] == "fail"
     assert any(not a["joined"] for a in report["payload"]["ambiguities"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("minimal-schubert", "--r", "2", "--n", "4"),
+    ("invariants", "--r", "3", "--n", "2", "--m", "1"),
+    ("projnorm", "--n", "4", "--m", "2", "--oracle"),
+    ("deodhar",),
+])
+def test_invalid_input_is_a_one_line_usage_error(capsys, argv):
+    code = main([*argv, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_rule_line_without_arrow_is_named(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("Y1*Y2 -> Y3^2\nY1*Y3 = Y2^2\n")
+    code = main(["confluence", "--rules", str(rules), "--generators", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1
+    assert "line 2" in err and "Y1*Y3 = Y2^2" in err
+
+
+def test_missing_rule_file_is_a_usage_error(tmp_path, capsys):
+    code = main(["confluence", "--rules", str(tmp_path / "absent.txt")])
+    assert code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_projnorm_ok_includes_the_oracle(capsys, monkeypatch):
+    monkeypatch.setattr("grassquot.cli.surjectivity_oracle", lambda n, m: (15, 16, False))
+    code, out = run(capsys, "projnorm", "--n", "5", "--m", "2", "--oracle", "--json")
+    report = check_json(out)
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["payload"]["ok"] is False

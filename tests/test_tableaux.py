@@ -5,8 +5,7 @@ import pytest
 from grassquot import g37
 from grassquot.tableaux import (Tableau, column_census,
                                 columns_form_chain, deglex_compare, deglex_key,
-                                enumerate_invariants, first_column_class,
-                                is_zero_weight)
+                                enumerate_invariants, is_zero_weight)
 from grassquot.weyl import gamma_tableau, minimal_richardson_v, minimal_schubert
 
 
@@ -109,9 +108,9 @@ def test_minimal_pair_unique_invariant_two_rows():
 
 
 def test_first_column_class_and_census_examples():
-    assert first_column_class(g37.Y[7]).entries == (1, 2, 3)
-    assert first_column_class(g37.Y[5]).entries == (1, 2, 5)
-    assert first_column_class(g37.Y[1]).entries == (1, 3, 5)
+    assert g37.Y[7].first_column().entries == (1, 2, 3)
+    assert g37.Y[5].first_column().entries == (1, 2, 5)
+    assert g37.Y[1].first_column().entries == (1, 3, 5)
     assert column_census(g37.Z20)[(2, 4, 6)] == 2
     assert column_census(g37.Y[6])[(2, 4, 6)] == 1
     census1 = column_census(g37.Y[1])
