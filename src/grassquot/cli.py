@@ -40,15 +40,18 @@ def _report(command: str, status: str, payload, args) -> int:
            "seed": getattr(args, "seed", None),
            "timing_ms": elapsed}
     if args.json:
-        text = json.dumps(out, sort_keys=True, separators=(",", ":"), default=str)
+        _emit(json.dumps(out, sort_keys=True, separators=(",", ":"), default=str), args)
     else:
-        text = _render_text(out)
+        _emit(_render_text(out), args)
+    return 0 if status != "fail" else 1
+
+
+def _emit(text: str, args) -> None:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    return 0 if status != "fail" else 1
 
 
 def _render_text(report: dict) -> str:
@@ -171,6 +174,8 @@ def cmd_deodhar(args) -> int:
 
 
 def cmd_projnorm(args) -> int:
+    if args.oracle and args.n % 2 == 0:
+        raise ValueError("the degree-1 generation setting needs n odd")
     sample = None if args.exhaustive else args.sample
     payload = family_check(args.n, args.m, sample=sample, seed=args.seed)
     if args.oracle:
@@ -185,16 +190,17 @@ def cmd_acceptance(args) -> int:
         payload = [{"id": cid, "title": title} for cid, title, _ in acceptance.CRITERIA]
         return _report("acceptance", "info", payload, args)
     result = acceptance.run_suite(only=args.only, seed=args.seed)
-    if not args.json:
-        for crit in result["criteria"]:
-            mark = "PASS" if crit["passed"] else "FAIL"
-            print(f"[{mark}] criterion {crit['id']:2d}  {crit['title']}"
-                  f"  ({crit['elapsed_s']}s)")
-        print("acceptance:", "pass" if result["passed"] else "fail")
-        return 0 if result["passed"] else 1
-    payload = {"criteria": [{k: v for k, v in crit.items()} for crit in result["criteria"]],
-               "passed": result["passed"]}
-    return _report("acceptance", "pass" if result["passed"] else "fail", payload, args)
+    status = "pass" if result["passed"] else "fail"
+    criteria = [{k: v for k, v in crit.items() if k != "elapsed_s" or args.timing}
+                for crit in result["criteria"]]
+    if args.json:
+        return _report("acceptance", status, {"criteria": criteria,
+                                              "passed": result["passed"]}, args)
+    lines = [f"[{'PASS' if crit['passed'] else 'FAIL'}] criterion {crit['id']:2d}"
+             f"  {crit['title']}" + (f"  ({crit['elapsed_s']}s)" if args.timing else "")
+             for crit in criteria]
+    _emit("\n".join(lines + [f"acceptance: {status}"]), args)
+    return 0 if result["passed"] else 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .symbolic import (Poly, PolyMatrix, identity_matrix, mat_det, mat_mul,
                        sparse_rank, submatrix_det)
-from .tableaux import LemmaViolation, Tableau
+from .tableaux import LemmaViolation, Tableau, enumerate_invariants
 from .weyl import (ColumnTuple, Perm, identity_perm, is_reduced,
                    perm_length, right_mul_s, word_to_perm)
 
@@ -363,13 +363,6 @@ def lowered_v(r: int, n: int, i: int) -> ColumnTuple:
     return ColumnTuple(tuple(v), n)
 
 
-def section_basis_on_lowered(r: int, n: int, i: int) -> list[Tableau]:
-    from .tableaux import enumerate_invariants
-    from .weyl import minimal_schubert
-
-    return enumerate_invariants(r, n, 1, minimal_schubert(r, n), lowered_v(r, n, i))
-
-
 def descent_probe(r: int, n: int, i: int) -> dict:
     """Count sections on the lowered Richardson bound two independent ways.
 
@@ -379,10 +372,10 @@ def descent_probe(r: int, n: int, i: int) -> dict:
     """
     from .weyl import canonical_word, gamma_tableau, minimal_schubert
 
-    tabs = section_basis_on_lowered(r, n, i)
     w = minimal_schubert(r, n)
-    word = canonical_word(w).letters
     v = lowered_v(r, n, i)
+    tabs = enumerate_invariants(r, n, 1, w, v)
+    word = canonical_word(w).letters
     mask = find_pds(word, v.to_permutation(), n)
     rank = sparse_rank(restrict_section(t, mask).terms for t in tabs)
     gamma = gamma_tableau(r, n)

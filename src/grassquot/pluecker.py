@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from .symbolic import SparsePoly, add_into
 from .tableaux import Tableau
 from .weyl import ColumnTuple
 
@@ -20,10 +21,10 @@ Column = tuple[int, ...]
 Monomial = tuple[Column, ...]  # sorted ascending
 
 
-class PlueckerPoly:
+class PlueckerPoly(SparsePoly):
     """Finitely supported map monomial -> Fraction, zero terms dropped."""
 
-    __slots__ = ("r", "n", "terms")
+    __slots__ = ("r", "n")
 
     def __init__(self, r: int, n: int, terms: dict[Monomial, Fraction] | None = None):
         self.r = r
@@ -35,6 +36,13 @@ class PlueckerPoly:
                 if c:
                     self.terms[tuple(sorted(mono))] = c
 
+    def _ring(self) -> tuple[int, int]:
+        return (self.r, self.n)
+
+    @staticmethod
+    def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+        return tuple(sorted(a + b))
+
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, r: int, n: int) -> "PlueckerPoly":
@@ -45,56 +53,6 @@ class PlueckerPoly:
         cols = tuple(sorted(tuple(c) for c in cols))
         r = len(cols[0]) if cols else 0
         return cls(r, n, {cols: Fraction(coeff)})
-
-    # -- ring operations ----------------------------------------------
-    def _check(self, other: "PlueckerPoly") -> None:
-        if (self.r, self.n) != (other.r, other.n):
-            raise ValueError("mixing polynomials on different Grassmannians")
-
-    def __add__(self, other: "PlueckerPoly") -> "PlueckerPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return PlueckerPoly(self.r, self.n, out)
-
-    def __neg__(self) -> "PlueckerPoly":
-        return PlueckerPoly(self.r, self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "PlueckerPoly") -> "PlueckerPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "PlueckerPoly") -> "PlueckerPoly":
-        self._check(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return PlueckerPoly(self.r, self.n, out)
-
-    def scale(self, c) -> "PlueckerPoly":
-        c = Fraction(c)
-        return PlueckerPoly(self.r, self.n, {m: c * v for m, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PlueckerPoly)
-                and (self.r, self.n) == (other.r, other.n)
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.r, self.n, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -189,20 +147,11 @@ def straighten(p: PlueckerPoly) -> PlueckerPoly:
         coeff = pending.pop(mono)
         i = _first_violation(mono)
         if i is None:
-            s = done.get(mono, Fraction(0)) + coeff
-            if s:
-                done[mono] = s
-            else:
-                done.pop(mono, None)
+            add_into(done, ((mono, coeff),))
             continue
         rest = mono[:i] + mono[i + 2:]
-        for sign, a, b in _exchange_terms(mono[i], mono[i + 1]):
-            new = tuple(sorted(rest + (a, b)))
-            s = pending.get(new, Fraction(0)) + coeff * sign
-            if s:
-                pending[new] = s
-            else:
-                pending.pop(new, None)
+        add_into(pending, ((tuple(sorted(rest + (a, b))), coeff * sign)
+                           for sign, a, b in _exchange_terms(mono[i], mono[i + 1])))
     return PlueckerPoly(p.r, p.n, done)
 
 

@@ -20,7 +20,7 @@ from itertools import chain, combinations_with_replacement
 
 from .pluecker import (PlueckerPoly, _first_violation, restrict_schubert,
                        straighten, tableau_to_poly)
-from .symbolic import sparse_rank
+from .symbolic import add_into, sparse_rank
 from .tableaux import (LemmaViolation, Tableau, columns_form_chain, deglex_key,
                        enumerate_invariants, is_zero_weight)
 
@@ -215,22 +215,16 @@ def _check_block(t: Tableau, b: SBlock) -> None:
 _MOVES = ("B", "T", "C", "N")
 
 
-def _move_delta(move: str, e: tuple[int, int, int, int]) -> dict[int, int]:
+def _move_delta(move: str, e: tuple[int, int, int, int]) -> tuple[tuple[int, int], ...]:
+    """(value, +-1) changes a move makes to the selected columns' multiset."""
     p, q, r, s = e
-    delta: dict[int, int] = {}
-
-    def add(x, k):
-        delta[x] = delta.get(x, 0) + k
-        if delta[x] == 0:
-            del delta[x]
-
     if move == "B":
-        add(r, -1); add(s, 1)
-    elif move == "T":
-        add(p, -1); add(q, 1)
-    elif move == "C":
-        add(p, -1); add(r, -1); add(q, 1); add(s, 1)
-    return delta
+        return (r, -1), (s, 1)
+    if move == "T":
+        return (p, -1), (q, 1)
+    if move == "C":
+        return (p, -1), (r, -1), (q, 1), (s, 1)
+    return ()
 
 
 def _move_valid(move: str, e: tuple[int, int, int, int]) -> bool:
@@ -264,12 +258,7 @@ def _find_block_moves(t: Tableau, b: SBlock, node_cap: int = 200_000) -> list[st
         for move in _MOVES:
             if not _move_valid(move, entries[k]):
                 continue
-            nd = dict(delta)
-            for x, c in _move_delta(move, entries[k]).items():
-                nd[x] = nd.get(x, 0) + c
-                if nd[x] == 0:
-                    del nd[x]
-            tail = rec(k + 1, nd)
+            tail = rec(k + 1, add_into(dict(delta), _move_delta(move, entries[k])))
             if tail is not None:
                 return [move] + tail
         return None
@@ -364,12 +353,8 @@ def swap_rewrite(t: Tableau) -> SwapResult:
     # expand the per-pair identities; the all-main term is the swapped monomial
     expansion: dict[tuple, Fraction] = {tuple(sorted(untouched)): Fraction(1)}
     for opt in options:
-        new: dict[tuple, Fraction] = {}
-        for mono, c in expansion.items():
-            for cols in opt:
-                key = tuple(sorted(mono + cols))
-                new[key] = new.get(key, Fraction(0)) + c
-        expansion = new
+        expansion = add_into({}, ((tuple(sorted(mono + cols)), c)
+                                  for mono, c in expansion.items() for cols in opt))
     total = PlueckerPoly(2, n, expansion)
     if not (straighten(total) - tableau_to_poly(t)).is_zero():
         raise LemmaViolation("pair expansion does not straighten back to the input")
@@ -413,13 +398,8 @@ def minimal_invariant_tableau(n: int, m: int) -> Tableau:
 
 def _combine(acc: dict, factors: Factorization, coeff: Fraction,
              extra: tuple[Tableau, ...]) -> None:
-    for c, tabs in factors:
-        key = tuple(sorted(tabs + extra, key=lambda T: T.rows))
-        val = acc.get(key, Fraction(0)) + coeff * c
-        if val:
-            acc[key] = val
-        else:
-            acc.pop(key, None)
+    add_into(acc, ((tuple(sorted(tabs + extra, key=lambda T: T.rows)), coeff * c)
+                   for c, tabs in factors))
 
 
 def factorize(t: Tableau, _memo: dict | None = None) -> Factorization:
@@ -460,13 +440,9 @@ def factorize(t: Tableau, _memo: dict | None = None) -> Factorization:
 
 def expand_factorization(fact: Factorization, n: int) -> PlueckerPoly:
     """Multiply every product back out and straighten; the re-expansion oracle."""
-    total = PlueckerPoly.zero(2, n)
-    for c, tabs in fact:
-        cols: list[tuple[int, ...]] = []
-        for T in tabs:
-            cols.extend(T.columns())
-        total = total + PlueckerPoly.monomial(cols, n, c)
-    return straighten(total)
+    return straighten(PlueckerPoly(2, n, add_into({}, (
+        (tuple(sorted(chain.from_iterable(T.columns() for T in tabs))), c)
+        for c, tabs in fact))))
 
 
 def surjectivity_oracle(n: int, m: int,

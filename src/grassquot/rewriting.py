@@ -12,9 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 from . import g37
+from .symbolic import add_into
 
 Mono = tuple[int, ...]
 PolyY = dict[Mono, Fraction]
@@ -34,15 +35,6 @@ def mono_div(a: Mono, b: Mono) -> Mono:
 
 def grlex_key(m: Mono) -> tuple:
     return (sum(m), m)
-
-
-def poly_sub_into(target: PolyY, src: PolyY, coeff: Fraction) -> None:
-    for m, c in src.items():
-        s = target.get(m, Fraction(0)) + coeff * c
-        if s:
-            target[m] = s
-        else:
-            target.pop(m, None)
 
 
 def poly_key(p: PolyY) -> tuple:
@@ -66,9 +58,6 @@ class RewriteSystem:
                 if grlex_key(m) >= grlex_key(lhs):
                     raise ValueError(
                         f"rule not oriented downhill: {m} not below {lhs}")
-
-    def rhs_poly(self, i: int) -> PolyY:
-        return {m: c for m, c in self.rules[i][1]}
 
 
 def make_system(k: int, rules: list[tuple[Mono, PolyY]]) -> RewriteSystem:
@@ -99,14 +88,12 @@ def find_rule(p_mono: Mono, system: RewriteSystem) -> int | None:
 
 
 def apply_rule(p: PolyY, mono: Mono, rule_idx: int, system: RewriteSystem) -> PolyY:
-    lhs, _ = system.rules[rule_idx]
+    lhs, rhs = system.rules[rule_idx]
     coeff = p[mono]
     cof = mono_div(mono, lhs)
     out = dict(p)
     del out[mono]
-    rhs = {mono_mul(cof, m): c for m, c in system.rules[rule_idx][1]}
-    poly_sub_into(out, rhs, coeff)
-    return out
+    return add_into(out, ((mono_mul(cof, m), coeff * c) for m, c in rhs))
 
 
 def reduce_poly(p: PolyY, system: RewriteSystem) -> PolyY:
@@ -232,13 +219,11 @@ def scroll_matrix_check(system: RewriteSystem) -> dict:
     minors = {}
     ok = True
     for a, b in combinations(range(4), 2):
-        diff: PolyY = {}
-        for m1, c1 in top[a].items():
-            poly_sub_into(diff, {mono_mul(m1, m2): c1 * c2
-                                 for m2, c2 in bot[b].items()}, Fraction(1))
-        for m1, c1 in top[b].items():
-            poly_sub_into(diff, {mono_mul(m1, m2): c1 * c2
-                                 for m2, c2 in bot[a].items()}, Fraction(-1))
+        diff = add_into({}, chain(
+            ((mono_mul(m1, m2), c1 * c2)
+             for m1, c1 in top[a].items() for m2, c2 in bot[b].items()),
+            ((mono_mul(m1, m2), -c1 * c2)
+             for m1, c1 in top[b].items() for m2, c2 in bot[a].items())))
         reduced = reduce_poly(diff, system)
         minors[(a + 1, b + 1)] = not reduced
         ok &= not reduced
@@ -268,7 +253,7 @@ def _parse_side(text: str, k: int) -> PolyY:
             if not 1 <= idx <= k:
                 raise ValueError(f"generator Y{idx} out of range (k={k})")
             e[idx - 1] += int(fm.group(2) or 1)
-        poly_sub_into(out, {tuple(e): sign * coeff}, Fraction(1))
+        add_into(out, ((tuple(e), sign * coeff),))
         pos = m.end()
     return out
 

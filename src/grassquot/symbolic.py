@@ -1,9 +1,11 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse polynomials over exact rationals.
 
-Terms map exponent tuples to Fraction coefficients; the number of
-variables is fixed per polynomial.  Just enough ring operations for the
-cell-matrix computations: degrees stay small and coefficients exact.
-``sparse_rank`` is the one exact rank routine for sparse rows.
+``SparsePoly`` holds the ring code shared by every polynomial class: terms
+map monomials to nonzero Fraction coefficients, and ``add_into`` is the one
+accumulate loop.  ``Poly`` is the multivariate case (exponent tuples over a
+fixed number of variables), just enough for the cell-matrix computations:
+degrees stay small and coefficients exact.  ``sparse_rank`` is the one
+exact rank routine for sparse rows.
 """
 
 from __future__ import annotations
@@ -11,12 +13,70 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from operator import add
 
 Expo = tuple[int, ...]
 
 
-class Poly:
-    __slots__ = ("nvars", "terms")
+def add_into(target: dict, items: Iterable[tuple]) -> dict:
+    """Add (key, value) pairs into target, dropping keys whose sum is zero."""
+    for k, c in items:
+        s = target.get(k)
+        s = c if s is None else s + c
+        if s:
+            target[k] = s
+        else:
+            target.pop(k, None)
+    return target
+
+
+class SparsePoly:
+    """Ring operations on ``terms``, a map monomial -> nonzero Fraction.
+
+    A subclass supplies ``_ring()``, the leading constructor arguments that
+    fix its ring, and ``_mono_mul``, the product of two monomials.
+    """
+
+    __slots__ = ("terms",)
+
+    def _check(self, other: "SparsePoly") -> None:
+        if type(other) is not type(self) or other._ring() != self._ring():
+            raise ValueError("mixing polynomials over different rings")
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(*self._ring(), add_into(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return type(self)(*self._ring(), {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        self._check(other)
+        mul = self._mono_mul
+        return type(self)(*self._ring(), add_into({}, (
+            (mul(m1, m2), c1 * c2)
+            for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())))
+
+    def scale(self, c):
+        c = Fraction(c)
+        return type(self)(*self._ring(), {m: c * v for m, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and other._ring() == self._ring()
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((*self._ring(), frozenset(self.terms.items())))
+
+
+class Poly(SparsePoly):
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms: dict[Expo, Fraction] | None = None):
         self.nvars = nvars
@@ -26,6 +86,13 @@ class Poly:
                 c = Fraction(c)
                 if c:
                     self.terms[tuple(e)] = c
+
+    def _ring(self) -> tuple[int]:
+        return (self.nvars,)
+
+    @staticmethod
+    def _mono_mul(a: Expo, b: Expo) -> Expo:
+        return tuple(map(add, a, b))
 
     @classmethod
     def const(cls, nvars: int, value) -> "Poly":
@@ -40,54 +107,6 @@ class Poly:
         e = [0] * nvars
         e[idx] = 1
         return cls(nvars, {tuple(e): Fraction(1)})
-
-    def _check(self, other: "Poly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("mixing polynomials with different variable counts")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(self.nvars, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out: dict[Expo, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.nvars, out)
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Poly) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def is_homogeneous(self) -> tuple[bool, int]:
         degs = {sum(e) for e in self.terms}

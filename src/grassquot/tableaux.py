@@ -64,9 +64,6 @@ class Tableau:
     def first_column(self) -> ColumnTuple:
         return ColumnTuple(self.column(0), self.n)
 
-    def last_column(self) -> ColumnTuple:
-        return ColumnTuple(self.column(self.d - 1), self.n)
-
     def to_json(self) -> dict:
         return {
             "rows": self.r,

@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from grassquot import acceptance
 from grassquot.cli import main
 
 
@@ -226,3 +227,40 @@ def test_projnorm_ok_includes_the_oracle(capsys, monkeypatch):
     assert code == 1
     assert report["status"] == "fail"
     assert report["payload"]["ok"] is False
+
+
+def test_acceptance_json_is_byte_stable_without_timing(capsys):
+    _, first = run(capsys, "acceptance", "--only", "4", "--json")
+    _, second = run(capsys, "acceptance", "--only", "4", "--json")
+    assert first == second
+    assert "elapsed_s" not in first
+    assert check_json(first)["payload"]["passed"] is True
+
+
+def test_acceptance_timing_adds_elapsed(capsys):
+    _, out = run(capsys, "acceptance", "--only", "4", "--json", "--timing")
+    (crit,) = check_json(out)["payload"]["criteria"]
+    assert isinstance(crit["elapsed_s"], float)
+    _, text = run(capsys, "acceptance", "--only", "4", "--timing")
+    assert text.splitlines()[0].endswith("s)")
+
+
+def test_acceptance_text_output_file(tmp_path, capsys):
+    target = tmp_path / "acceptance.txt"
+    code, out = run(capsys, "acceptance", "--only", "4", "--output", str(target))
+    assert code == 0
+    assert out == ""
+    assert target.read_text() == (
+        "[PASS] criterion  4  " + acceptance.CRITERIA[3][1] + "\nacceptance: pass\n")
+
+
+def test_projnorm_even_n_oracle_rejected_before_any_work(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("family_check ran before the usage error")
+
+    monkeypatch.setattr("grassquot.cli.family_check", fail)
+    code = main(["projnorm", "--n", "8", "--m", "2", "--oracle", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "n odd" in captured.err
