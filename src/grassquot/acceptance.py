@@ -210,9 +210,7 @@ def crit_11_families(seed: int) -> dict:
     reports = {}
     ok = True
     for n, m in ((5, 2), (5, 3), (7, 2)):
-        size = len(enumerate_invariants(2, n, m, (n - 1, n), (1, 2)))
-        sample = None if size < 10 ** 6 else 1000
-        rep = family_check(n, m, sample=sample, seed=seed)
+        rep = family_check(n, m, seed=seed)
         reports[f"n{n}_m{m}"] = {k: rep[k] for k in
                                  ("family_size", "checked", "defected", "cases",
                                   "lemma_pass_counts", "reexpanded", "ok",

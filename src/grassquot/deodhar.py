@@ -15,11 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .symbolic import (Poly, PolyMatrix, identity_matrix, mat_det, mat_mul,
+from . import g37
+from .symbolic import (Poly, PolyMatrix, identity_matrix, mat_det,
                        sparse_rank, submatrix_det)
 from .tableaux import LemmaViolation, Tableau, enumerate_invariants
-from .weyl import (ColumnTuple, Perm, identity_perm, is_reduced,
-                   perm_length, right_mul_s, word_to_perm)
+from .weyl import (ColumnTuple, Perm, canonical_word, gamma_tableau,
+                   identity_perm, is_reduced, minimal_richardson_v,
+                   minimal_schubert, perm_length, restriction_height,
+                   right_mul_s, word_to_perm)
 
 
 class NotBelowError(ValueError):
@@ -161,52 +164,34 @@ class CellMatrix:
         return tuple(tuple(e.subs(values) for e in row) for row in self.mat)
 
 
-def _factor_y(n: int, nvars: int, i: int, var: int) -> PolyMatrix:
-    m = [list(row) for row in identity_matrix(n, nvars)]
-    m[i][i - 1] = Poly.var(nvars, var)
-    return tuple(tuple(row) for row in m)
-
-
-def _factor_x_s(n: int, nvars: int, i: int, var: int) -> PolyMatrix:
-    # x_i(m) * s_i with s_i = [[0, -1], [1, 0]] on the (i, i+1) block
-    m = [list(row) for row in identity_matrix(n, nvars)]
-    m[i - 1][i - 1] = Poly.var(nvars, var)
-    m[i - 1][i] = Poly.const(nvars, -1)
-    m[i][i - 1] = Poly.const(nvars, 1)
-    m[i][i] = Poly.zero(nvars)
-    return tuple(tuple(row) for row in m)
-
-
-def _factor_s(n: int, nvars: int, i: int) -> PolyMatrix:
-    m = [list(row) for row in identity_matrix(n, nvars)]
-    m[i - 1][i - 1] = Poly.zero(nvars)
-    m[i - 1][i] = Poly.const(nvars, -1)
-    m[i][i - 1] = Poly.const(nvars, 1)
-    m[i][i] = Poly.zero(nvars)
-    return tuple(tuple(row) for row in m)
-
-
 def cell_matrix(mask: SubexpressionMask) -> CellMatrix:
-    """Ordered product of the per-letter factors of a distinguished mask."""
+    """Ordered product of the per-letter factors of a distinguished mask.
+
+    Each factor differs from the identity only in its (i, i+1) block, so
+    right-multiplying by it rewrites columns a = i and b = i+1 of the
+    running product and nothing else:
+
+    - skipped letter, y_i(p): a becomes a + p*b;
+    - kept descent, x_i(m) s_i: (a, b) becomes (m*a + b, -a);
+    - kept ascent, s_i: (a, b) becomes (b, -a).
+    """
     cls = classify(mask)
     if not cls.distinguished:
         raise ValueError("mask is not distinguished")
     p_positions = tuple(sorted(cls.j_free))
     m_positions = tuple(sorted(cls.j_down))
     nvars = len(p_positions) + len(m_positions)
-    p_index = {pos: k for k, pos in enumerate(p_positions)}
-    m_index = {pos: len(p_positions) + k for k, pos in enumerate(m_positions)}
-    n = mask.n
-    acc = identity_matrix(n, nvars)
-    for pos, (letter, keep) in enumerate(zip(mask.letters, mask.keep), start=1):
+    var = {pos: Poly.var(nvars, k) for k, pos in enumerate(p_positions + m_positions)}
+    cols = [list(c) for c in zip(*identity_matrix(mask.n, nvars))]
+    for pos, i in enumerate(mask.letters, start=1):
+        a, b = cols[i - 1], cols[i]
         if pos in cls.j_free:
-            fac = _factor_y(n, nvars, letter, p_index[pos])
+            cols[i - 1] = [x + y * var[pos] for x, y in zip(a, b)]
         elif pos in cls.j_down:
-            fac = _factor_x_s(n, nvars, letter, m_index[pos])
+            cols[i - 1], cols[i] = [x * var[pos] + y for x, y in zip(a, b)], [-x for x in a]
         else:
-            fac = _factor_s(n, nvars, letter)
-        acc = mat_mul(acc, fac)
-    return CellMatrix(acc, n, p_positions, m_positions)
+            cols[i - 1], cols[i] = b, [-x for x in a]
+    return CellMatrix(tuple(zip(*cols)), mask.n, p_positions, m_positions)
 
 
 @lru_cache(maxsize=256)
@@ -282,8 +267,6 @@ def quotient_probe(case: str) -> dict:
     Verifies the expected nonvanishing sections and the algebraic shape of
     the quotient they cut out (point, line, conic, or Segre quadric).
     """
-    from . import g37
-
     if case not in PROBE_CASES:
         raise ValueError(f"unknown case {case!r}; choose from {sorted(PROBE_CASES)}")
     n = 7
@@ -295,7 +278,6 @@ def quotient_probe(case: str) -> dict:
     checks: dict[str, bool] = {}
 
     hts = {i: sections[i].is_homogeneous() for i in nonzero}
-    from .weyl import restriction_height
     vt = ColumnTuple(tuple(sorted(v[:3])), n)
     expected_deg = restriction_height(vt)
     checks["sections_homogeneous_of_expected_degree"] = all(
@@ -356,8 +338,6 @@ def quotient_probe(case: str) -> dict:
 
 def lowered_v(r: int, n: int, i: int) -> ColumnTuple:
     """The minimal opposite bound with entry i+1 lowered by one."""
-    from .weyl import minimal_richardson_v
-
     v = list(minimal_richardson_v(r, n).entries)
     v[i] -= 1
     return ColumnTuple(tuple(v), n)
@@ -370,8 +350,6 @@ def descent_probe(r: int, n: int, i: int) -> dict:
     open cell must agree; the count of value a_i - 1 in row i of the
     minimal invariant tableau is reported alongside for reference.
     """
-    from .weyl import canonical_word, gamma_tableau, minimal_schubert
-
     w = minimal_schubert(r, n)
     v = lowered_v(r, n, i)
     tabs = enumerate_invariants(r, n, 1, w, v)

@@ -98,12 +98,17 @@ def test_deodhar_enumerate(capsys):
     assert any(m["pds"] for m in payload["masks"])
 
 
-def test_deodhar_probe(capsys):
-    code, out = run(capsys, "deodhar", "--probe", "s3", "--json")
+PROBE_NONVANISHING = {"s2s4s3": [1], "s2s3": [1, 2], "s4s3": [1, 3, 5],
+                      "s3": [1, 2, 3, 4, 5, 6]}
+
+
+@pytest.mark.parametrize("case", PROBE_NONVANISHING)
+def test_deodhar_probe(capsys, case):
+    code, out = run(capsys, "deodhar", "--probe", case, "--json")
     assert code == 0
     report = check_json(out)
     assert report["status"] == "pass"
-    assert report["payload"]["nonvanishing"] == [1, 2, 3, 4, 5, 6]
+    assert report["payload"]["nonvanishing"] == PROBE_NONVANISHING[case]
 
 
 def test_projnorm(capsys):

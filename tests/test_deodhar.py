@@ -9,7 +9,7 @@ from grassquot.deodhar import (NotBelowError, SubexpressionMask, W37_WORD,
                                cell_matrix, classify, descent_probe,
                                enumerate_distinguished, find_pds, lowered_v,
                                quotient_probe, restrict_section)
-from grassquot.symbolic import Poly
+from grassquot.symbolic import Poly, identity_matrix, mat_mul
 from grassquot.tableaux import Tableau
 from grassquot.weyl import (ColumnTuple, canonical_word, identity_perm,
                             minimal_richardson_v, minimal_schubert, perm_inv,
@@ -132,6 +132,42 @@ def test_cell_matrix_determinants_are_units():
         cell = cell_matrix(mask)
         det = cell.determinant()
         assert det in (Poly.const(cell.nvars, 1), Poly.const(cell.nvars, -1))
+
+
+def _factor_product(mask):
+    """The cell matrix as the ordered product of full n x n factors: y_i(p)
+    puts p at (i+1, i); x_i(m) s_i and s_i put [[m, -1], [1, 0]] and
+    [[0, -1], [1, 0]] on the (i, i+1) block."""
+    cls = classify(mask)
+    positions = sorted(cls.j_free) + sorted(cls.j_down)
+    nvars = len(positions)
+    one, zero = Poly.const(nvars, 1), Poly.zero(nvars)
+    acc = identity_matrix(mask.n, nvars)
+    for pos, i in enumerate(mask.letters, start=1):
+        fac = [list(row) for row in identity_matrix(mask.n, nvars)]
+        if pos in cls.j_free:
+            fac[i][i - 1] = Poly.var(nvars, positions.index(pos))
+        else:
+            top = Poly.var(nvars, positions.index(pos)) if pos in cls.j_down else zero
+            fac[i - 1][i - 1], fac[i - 1][i] = top, -one
+            fac[i][i - 1], fac[i][i] = one, zero
+        acc = mat_mul(acc, tuple(map(tuple, fac)))
+    return acc
+
+
+@pytest.mark.parametrize("word, n, count", [(W37_WORD, N, 404), ((1, 2, 1), 3, 7)])
+def test_cell_matrix_equals_product_of_factors(word, n, count):
+    masks = [SubexpressionMask(word, keep, n)
+             for keep in product([False, True], repeat=len(word))]
+    masks = [m for m in masks if classify(m).distinguished]
+    assert len(masks) == count
+    assert any(classify(m).j_down for m in masks)
+    for mask in masks:
+        cls = classify(mask)
+        cell = cell_matrix(mask)
+        assert cell.p_positions == tuple(sorted(cls.j_free))
+        assert cell.m_positions == tuple(sorted(cls.j_down))
+        assert cell.mat == _factor_product(mask)
 
 
 def test_cell_matrix_rejects_non_distinguished():

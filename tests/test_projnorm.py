@@ -197,6 +197,6 @@ def test_defect_profile_type():
 def test_family_beyond_the_core_cases():
     # a sampled sweep of the next odd rank exercises the repair search
     # on richer block structures
-    rep = family_check(9, 2, sample=60, seed=5, reexpand=5)
+    rep = family_check(9, 2, sample=60, seed=5)
     assert rep["ok"], rep["violations"][:2]
     assert rep["family_size"] == 4600
