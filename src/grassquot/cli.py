@@ -21,7 +21,7 @@ from .pluecker import verify_relation
 from .projnorm import family_check, surjectivity_oracle
 from .rewriting import (check_confluence, format_mono, format_poly, g37_rules,
                         parse_rules)
-from .tableaux import enumerate_invariants
+from .tableaux import count_invariants, enumerate_invariants
 from .weyl import (ColumnTuple, gamma_tableau, minimal_richardson_v,
                    minimal_schubert)
 
@@ -98,10 +98,13 @@ def cmd_gamma(args) -> int:
 def cmd_invariants(args) -> int:
     w = args.w or tuple(range(args.n - args.r + 1, args.n + 1))
     v = args.v or tuple(range(1, args.r + 1))
-    tabs = enumerate_invariants(args.r, args.n, args.m, w, v)
     payload: dict = {"r": args.r, "n": args.n, "m": args.m,
-                     "w": list(w), "v": list(v), "count": len(tabs)}
-    if not args.count_only:
+                     "w": list(w), "v": list(v)}
+    if args.count_only:
+        payload["count"] = count_invariants(args.r, args.n, args.m, w, v)
+    else:
+        tabs = enumerate_invariants(args.r, args.n, args.m, w, v)
+        payload["count"] = len(tabs)
         payload["tableaux"] = [t.to_json() for t in tabs]
     return _report("invariants", "info", payload, args)
 

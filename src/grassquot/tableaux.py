@@ -4,12 +4,25 @@ A degree-d standard monomial on the Grassmannian cone is a weakly
 increasing chain of d column tuples; we store it as an r x d grid whose
 rows increase weakly and whose columns increase strictly.  Torus
 invariants are the tableaux with uniform content.
+
+The invariant r x mn tableaux are enumerated as chains of horizontal
+strips (the Gelfand-Tsetlin description; Stanley, EC2 7.10).  The cells
+holding the values 1..k form a partition shape(k) inside the r x mn box,
+and the cells holding k form a horizontal strip of exactly r*m cells:
+shape(k-1) <= shape(k) rowwise, and row i+1 of shape(k) is at most row i
+of shape(k-1).  The componentwise bounds first column >= v and last
+column <= w are row conditions: row i holds no value below v_i, so it is
+empty while k < v_i, and none above w_i, so it is full once k >= w_i.
+A forward pass over the states (k, shape) finds the reachable ones, a
+backward pass counts the ways to complete each, and the walk enters only
+states that can be completed.  The states live for one call only.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .weyl import ColumnTuple
 
@@ -116,13 +129,25 @@ def is_zero_weight(t: Tableau) -> bool:
     return all(c.get(i, 0) == target for i in range(1, t.n + 1))
 
 
-def iter_invariants(r: int, n: int, m: int,
-                    w: ColumnTuple | tuple, v: ColumnTuple | tuple):
-    """Yield invariant r x (m*n) tableaux, first column >= v, last <= w.
+def _bounded_compositions(lo: tuple[int, ...], hi: tuple[int, ...], total: int):
+    """Yield the tuples x with lo[i] <= x[i] <= hi[i] and sum(x) == total."""
+    if not lo:
+        if total == 0:
+            yield ()
+        return
+    rest_lo, rest_hi = sum(lo[1:]), sum(hi[1:])
+    for x in range(max(lo[0], total - rest_hi), min(hi[0], total - rest_lo) + 1):
+        for tail in _bounded_compositions(lo[1:], hi[1:], total - x):
+            yield (x,) + tail
 
-    Every value of [1, n] appears exactly r*m times.  Depth-first search
-    over the column chain in ascending lexicographic order, so tableaux
-    arrive in column-lexicographic order, duplicate-free and complete.
+
+def _live_layers(r: int, n: int, m: int, w, v) -> list[dict]:
+    """The states of the strip walk that lead to a tableau, layer by layer.
+
+    layers[k] maps each shape filled by the values 1..k from which the
+    values k+1..n can still be placed to its successors, each with its
+    number of completions.  A forward pass finds the reachable shapes and
+    a backward pass counts completions and drops the shapes with none.
     """
     if r < 1 or n < r or m < 1:
         raise ValueError(f"need 1 <= r <= n and m >= 1, got r={r}, n={n}, m={m}")
@@ -130,54 +155,58 @@ def iter_invariants(r: int, n: int, m: int,
     ve = v.entries if isinstance(v, ColumnTuple) else tuple(v)
     if len(we) != r or len(ve) != r:
         raise ValueError("column bounds must have r entries")
-    if not all(a <= b for a, b in zip(ve, we)):
-        return
-    d = m * n
-    need = r * m
-    from itertools import combinations
+    d, need = m * n, r * m
+    layers: list[dict] = [{(0,) * r: None}]
+    for k in range(1, n + 1):
+        for shape in layers[-1]:
+            # value k fills a horizontal strip of need cells; row i is
+            # empty while k < v_i and full once k >= w_i
+            lo = tuple(d if k >= we[i] else shape[i] for i in range(r))
+            hi = tuple(0 if k < ve[i] else (shape[i - 1] if i else d) for i in range(r))
+            layers[-1][shape] = list(_bounded_compositions(lo, hi, sum(shape) + need))
+        layers.append(dict.fromkeys(nxt for nxts in layers[-1].values() for nxt in nxts))
+    count = dict.fromkeys(layers.pop(), 1)
+    for k in reversed(range(n)):
+        layers[k] = {shape: live for shape, nxts in layers[k].items()
+                     if (live := [(nxt, count[nxt]) for nxt in nxts if nxt in count])}
+        count = {shape: sum(c for _, c in live) for shape, live in layers[k].items()}
+    return layers
 
-    pool = [c for c in combinations(range(1, n + 1), r)
-            if all(x <= y for x, y in zip(c, we))]
 
-    remaining = {i: need for i in range(1, n + 1)}
-    chosen: list[tuple[int, ...]] = []
-
-    def feasible(prev: tuple[int, ...], cols_left: int) -> bool:
-        for val, cnt in remaining.items():
-            if cnt == 0:
-                continue
-            if cnt > cols_left:
-                return False
-            # value must still fit in some row k: prev[k] <= val <= w[k]
-            if not any(prev[k] <= val <= we[k] for k in range(r)):
-                return False
-        return True
-
-    def rec(prev: tuple[int, ...], cols_left: int):
-        if cols_left == 0:
-            yield Tableau.from_columns(chosen, n)
-            return
-        for c in pool:
-            if any(x < p for x, p in zip(c, prev)):
-                continue
-            if any(remaining[x] == 0 for x in c):
-                continue
-            for x in c:
-                remaining[x] -= 1
-            chosen.append(c)
-            if feasible(c, cols_left - 1):
-                yield from rec(c, cols_left - 1)
-            chosen.pop()
-            for x in c:
-                remaining[x] += 1
-
-    yield from rec(ve, d)
+def count_invariants(r: int, n: int, m: int,
+                     w: ColumnTuple | tuple, v: ColumnTuple | tuple) -> int:
+    """Number of tableaux enumerate_invariants returns, without building any."""
+    return sum(c for _, c in _live_layers(r, n, m, w, v)[0].get((0,) * r, ()))
 
 
 def enumerate_invariants(r: int, n: int, m: int,
                          w: ColumnTuple | tuple, v: ColumnTuple | tuple) -> list[Tableau]:
-    """All invariant tableaux of iter_invariants, materialized in order."""
-    return list(iter_invariants(r, n, m, w, v))
+    """Invariant r x (m*n) tableaux with first column >= v and last <= w.
+
+    Every value of [1, n] appears exactly r*m times, and the bounds are
+    componentwise.  The values are placed in turn, each as a horizontal
+    strip of r*m cells; row i takes no value below v_i and is full from
+    value w_i on.  Completion counts, kept for this call only, keep
+    the walk to states that finish, so every state it enters yields a
+    tableau.  The list is duplicate-free, complete and sorted by column
+    tuple (column-lexicographic order), which lists the degree-lex least
+    tableau first.
+    """
+    layers = _live_layers(r, n, m, w, v)
+    out: list[Tableau] = []
+    stack = [(0, (0,) * r, ((),) * r)]
+    while stack:
+        k, shape, rows = stack.pop()
+        if k == n:
+            out.append(Tableau(rows, n))
+            continue
+        for nxt, _ in layers[k].get(shape, ()):
+            stack.append((k + 1, nxt, tuple(row + (k + 1,) * (b - a)
+                                            for row, a, b in zip(rows, shape, nxt))))
+    # Sort by the column word, one character per entry: the order of the
+    # column tuples, with a key a fraction of the size of a tuple of tuples.
+    out.sort(key=lambda t: "".join(map(chr, chain.from_iterable(zip(*t.rows)))))
+    return out
 
 
 def column_census(t: Tableau) -> Counter:

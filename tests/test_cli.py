@@ -57,6 +57,24 @@ def test_invariants_default_bounds(capsys):
     assert check_json(out)["payload"]["count"] == 6
 
 
+@pytest.mark.parametrize("argv,count", [
+    (("--r", "3", "--n", "7", "--m", "12", "--w", "3,5,7", "--v", "1,2,3"), 1547),
+    (("--r", "2", "--n", "9", "--m", "3"), 33922),
+    (("--r", "2", "--n", "11", "--m", "2"), 86725),
+    (("--r", "2", "--n", "13", "--m", "2"), 1709566),
+])
+def test_invariants_count_only_builds_no_tableaux(capsys, monkeypatch, argv, count):
+    def no_enumeration(*args):
+        raise AssertionError("--count-only enumerated the tableaux")
+
+    monkeypatch.setattr("grassquot.cli.enumerate_invariants", no_enumeration)
+    code, out = run(capsys, "invariants", *argv, "--count-only", "--json")
+    assert code == 0
+    report = check_json(out)
+    assert report["payload"]["count"] == count
+    assert "tableaux" not in report["payload"]
+
+
 def test_verify_relations(capsys):
     code, out = run(capsys, "verify-relations", "--json")
     assert code == 0

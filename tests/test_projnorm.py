@@ -6,9 +6,8 @@ import pytest
 from grassquot.pluecker import PlueckerPoly, straighten, tableau_to_poly
 from grassquot.projnorm import (DefectProfile, LemmaViolation, defect_profile,
                                 expand_factorization, factorize, family_check,
-                                minimal_invariant_tableau, mod_m_symmetry,
-                                s_blocks, split, surjectivity_oracle,
-                                swap_rewrite)
+                                mod_m_symmetry, s_blocks, split,
+                                surjectivity_oracle, swap_rewrite)
 from grassquot.tableaux import (Tableau, deglex_key, enumerate_invariants,
                                 is_zero_weight)
 from grassquot.weyl import gamma_tableau
@@ -16,6 +15,16 @@ from grassquot.weyl import gamma_tableau
 
 def _family(n, m):
     return enumerate_invariants(2, n, m, (n - 1, n), (1, 2))
+
+
+def minimal_invariant_tableau(n, m):
+    """The degree-lex least invariant tableau of the full 2 x mn family.
+
+    The column-lexicographic enumeration lists it first; its m shifted
+    column selections are balanced and identical, giving the factorization
+    base case.
+    """
+    return _family(n, m)[0]
 
 
 def test_split_m1_is_identity():

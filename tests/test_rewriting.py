@@ -79,6 +79,17 @@ def test_normal_form_counts_match_invariant_dimensions():
         assert normal_form_count(SYSTEM, m) == dim
 
 
+def test_g37_presentation_matches_scroll_hilbert_function_to_degree_8():
+    # the rules cut out a rational normal scroll of dimension 3 and degree 4
+    # in P^6, with Hilbert function (m+1)(m+2)(4m+3)/6
+    counts = []
+    for m in range(1, 9):
+        dim = len(enumerate_invariants(3, 7, m, (3, 5, 7), (1, 2, 3)))
+        assert dim == normal_form_count(SYSTEM, m) == (m + 1) * (m + 2) * (4 * m + 3) // 6
+        counts.append(dim)
+    assert counts == [7, 22, 50, 95, 161, 252, 372, 525]
+
+
 def test_scroll_minors():
     rep = scroll_matrix_check(SYSTEM)
     assert rep["ok"]

@@ -1,10 +1,13 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grassquot import g37
 from grassquot.tableaux import (Tableau, column_census,
-                                columns_form_chain, deglex_compare, deglex_key,
+                                columns_form_chain, count_invariants,
+                                deglex_compare, deglex_key,
                                 enumerate_invariants, is_zero_weight)
 from grassquot.weyl import gamma_tableau, minimal_richardson_v, minimal_schubert
 
@@ -86,6 +89,106 @@ def _slow_enumerate(r, n, m, w, v):
 
     rec(0)
     return {rows for rows in out}
+
+
+def _column_chain_enumerate(r, n, m, w, v):
+    """Depth-first search over column chains; an independent oracle for
+    the strip walk that also fixes the order.
+
+    Columns are tried in ascending lexicographic order, each at least the
+    previous one componentwise (the first at least v) and at most w, so
+    tableaux arrive in column-lexicographic order, duplicate-free.
+    """
+    if not all(a <= b for a, b in zip(v, w)):
+        return []
+    d = m * n
+    need = r * m
+    pool = [c for c in combinations(range(1, n + 1), r)
+            if all(x <= y for x, y in zip(c, w))]
+    remaining = {i: need for i in range(1, n + 1)}
+    chosen = []
+    out = []
+
+    def feasible(prev, cols_left):
+        for val, cnt in remaining.items():
+            if cnt == 0:
+                continue
+            if cnt > cols_left:
+                return False
+            # value must still fit in some row k: prev[k] <= val <= w[k]
+            if not any(prev[k] <= val <= w[k] for k in range(r)):
+                return False
+        return True
+
+    def rec(prev, cols_left):
+        if cols_left == 0:
+            out.append(Tableau.from_columns(chosen, n).rows)
+            return
+        for c in pool:
+            if any(x < p for x, p in zip(c, prev)):
+                continue
+            if any(remaining[x] == 0 for x in c):
+                continue
+            for x in c:
+                remaining[x] -= 1
+            chosen.append(c)
+            if feasible(c, cols_left - 1):
+                rec(c, cols_left - 1)
+            chosen.pop()
+            for x in c:
+                remaining[x] += 1
+
+    rec(tuple(v), d)
+    return out
+
+
+@st.composite
+def small_cases(draw):
+    """Small (r, n, m) with bounds of length r.  Half the draws are within
+    one of the widest bounds v = (1..r), w = (n-r+1..n) entrywise, with
+    v_1 = 1 and w_r = n (else no row can take the value 1 or n): many
+    nonempty families, some of them with non-monotone bounds.  The other
+    half are arbitrary, mostly incomparable, bounds."""
+    # hypothesis favours small integers, so count down from the largest r, n
+    r = 3 - draw(st.integers(0, 2))
+    n = 6 - draw(st.integers(0, 6 - r))
+    m = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        v = (1,) + tuple(draw(st.integers(1, min(i + 2, n))) for i in range(1, r))
+        w = tuple(draw(st.integers(max(n - r + i, 1), n)) for i in range(r - 1)) + (n,)
+    else:
+        entries = st.lists(st.integers(1, n), min_size=r, max_size=r).map(tuple)
+        w, v = draw(entries), draw(entries)
+    return r, n, m, w, v
+
+
+def _assert_walk_equals_search(r, n, m, w, v):
+    expected = _column_chain_enumerate(r, n, m, w, v)
+    assert [t.rows for t in enumerate_invariants(r, n, m, w, v)] == expected
+    assert count_invariants(r, n, m, w, v) == len(expected)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_cases())
+def test_strip_walk_equals_column_chain_search(case):
+    _assert_walk_equals_search(*case)
+
+
+# G(3,7) and G(2,n) families and a G(3,6) box, each small enough for the
+# search to finish in about a second
+@pytest.mark.parametrize("r,n,m,w,v", [
+    (3, 7, 1, (3, 5, 7), (1, 2, 3)),
+    (3, 7, 2, (3, 5, 7), (1, 2, 3)),
+    (3, 7, 1, (3, 5, 7), (1, 3, 5)),
+    (3, 7, 1, (3, 5, 7), (1, 2, 7)),
+    (2, 5, 2, (4, 5), (1, 2)),
+    (2, 5, 8, (4, 5), (1, 2)),
+    (2, 7, 2, (6, 7), (1, 2)),
+    (2, 9, 1, (8, 9), (1, 2)),
+    (3, 6, 2, (4, 5, 6), (1, 2, 3)),
+])
+def test_strip_walk_equals_column_chain_search_on_families(r, n, m, w, v):
+    _assert_walk_equals_search(r, n, m, w, v)
 
 
 def test_enumeration_against_slow_oracle_3_7_1():
@@ -188,3 +291,10 @@ def test_enumerate_rejects_bad_parameters():
         enumerate_invariants(2, 5, 0, (4, 5), (1, 2))
     with pytest.raises(ValueError):
         enumerate_invariants(2, 5, 1, (4, 5, 6), (1, 2))
+
+
+def test_count_rejects_bad_parameters():
+    with pytest.raises(ValueError):
+        count_invariants(3, 2, 1, (1, 2, 3), (1, 2, 3))
+    with pytest.raises(ValueError):
+        count_invariants(2, 5, 1, (4, 5), (1,))
