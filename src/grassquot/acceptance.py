@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import g37
 from .deodhar import (SubexpressionMask, W37_WORD, classify, find_pds,
                       quotient_probe, restrict_section)
-from .pluecker import PlueckerPoly, straighten, verify_relation
+from .pluecker import PlueckerPoly, restrict_schubert, straighten, verify_relation
 from .projnorm import family_check, surjectivity_oracle
 from .rewriting import (check_confluence, format_poly, g37_rules, normal_form_count,
                         reduce_monomial, scroll_matrix_check, y_mono)
@@ -84,10 +84,9 @@ def crit_5_relations(seed: int) -> dict:
     unrestricted_fail = {}
     for name, (i, j), rhs in g37.RELATIONS:
         signed = [(s, [g37.Y[a], g37.Y[b]]) for s, (a, b) in rhs]
-        ok, _ = verify_relation([g37.Y[i], g37.Y[j]], signed, g37.W37, (1, 2, 3))
-        restricted_ok[name] = ok
-        raw_ok, _ = verify_relation([g37.Y[i], g37.Y[j]], signed, g37.W37,
-                                    (1, 2, 3), restricted=False)
+        raw_ok, raw = verify_relation([g37.Y[i], g37.Y[j]], signed, g37.W37,
+                                      (1, 2, 3), restricted=False)
+        restricted_ok[name] = restrict_schubert(raw, g37.W37, (1, 2, 3)).is_zero()
         unrestricted_fail[name] = not raw_ok
     passed = all(restricted_ok.values()) and any(unrestricted_fail.values())
     return {"passed": passed, "restricted": restricted_ok,

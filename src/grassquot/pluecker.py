@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .symbolic import SparsePoly, add_into
@@ -76,8 +78,9 @@ def _leq_cols(a: Column, b: Column) -> bool:
 def _first_violation(mono: Monomial) -> int | None:
     """Index i of the first adjacent pair that is not componentwise ordered."""
     for i in range(len(mono) - 1):
-        if not _leq_cols(mono[i], mono[i + 1]):
-            return i
+        for x, y in zip(mono[i], mono[i + 1]):
+            if x > y:
+                return i
     return None
 
 
@@ -97,14 +100,16 @@ def _sort_sign(seq: tuple[int, ...]) -> tuple[int, Column] | None:
     return sign, tuple(lst)
 
 
-def _exchange_terms(left: Column, right: Column) -> list[tuple[Fraction, Column, Column]]:
+@lru_cache(maxsize=4096)
+def _exchange_terms(left: Column, right: Column) -> tuple[tuple[int, Column, Column], ...]:
     """Rewrite p_left * p_right across its first violating row.
 
     With the violation at row k (left[k] > right[k]) the r+1 values
     right[1..k], left[k..r] are pairwise distinct and are redistributed in
     all balanced ways; the alternating-sum identity for r+1 vectors in an
     r-dimensional space makes the signed sum over all splits vanish, which
-    expresses the input product by strictly smaller monomials.
+    expresses the input product by strictly smaller monomials.  Returns
+    (sign, column, column) triples with sign +1 or -1, memoised per pair.
     """
     k = next(i for i in range(len(left)) if left[i] > right[i])  # 0-based
     prefix = left[:k]
@@ -114,7 +119,7 @@ def _exchange_terms(left: Column, right: Column) -> list[tuple[Fraction, Column,
     pool = tuple(sorted(low + high))
     size = len(high)
     base_sign = -1 if (len(high) * len(low)) % 2 else 1
-    out: list[tuple[Fraction, Column, Column]] = []
+    out: list[tuple[int, Column, Column]] = []
     for s in combinations(pool, size):
         if s == high:
             continue
@@ -129,8 +134,19 @@ def _exchange_terms(left: Column, right: Column) -> list[tuple[Fraction, Column,
         if right_sorted is None:
             continue
         sign = -base_sign * (-1 if shuffle % 2 else 1) * left_sorted[0] * right_sorted[0]
-        out.append((Fraction(sign), left_sorted[1], right_sorted[1]))
-    return out
+        out.append((sign, left_sorted[1], right_sorted[1]))
+    return tuple(out)
+
+
+def _heap_key(mono: Monomial) -> tuple[int, ...]:
+    """Key whose ascending order is the descending order of monomials.
+
+    Columns of one ring share their length, so comparing monomials is
+    comparing their flattened entries, a proper prefix being smaller.
+    Negating the entries and closing with 0, above every negated entry,
+    reverses both rules.
+    """
+    return tuple(-x for col in mono for x in col) + (0,)
 
 
 def straighten(p: PlueckerPoly) -> PlueckerPoly:
@@ -138,25 +154,33 @@ def straighten(p: PlueckerPoly) -> PlueckerPoly:
 
     Processes the largest pending monomial first; every exchange replaces
     it by monomials that are strictly smaller in the sorted-column
-    lexicographic order, so the loop terminates.
+    lexicographic order, so the loop terminates.  The pending monomials
+    sit in a max-heap, each pushed when it enters ``pending``; a popped
+    monomial that has since cancelled is skipped, and no monomial can
+    re-enter once popped, so the pops come in descending order and the
+    result lists its terms in the order they were finished.  The exchange
+    of a column pair is memoised in ``_exchange_terms``.
     """
     pending = dict(p.terms)
+    heap = [(_heap_key(m), m) for m in pending]
+    heapify(heap)
     done: dict[Monomial, Fraction] = {}
-    while pending:
-        mono = max(pending)
-        coeff = pending.pop(mono)
+    while heap:
+        mono = heappop(heap)[1]
+        coeff = pending.pop(mono, None)
+        if coeff is None:
+            continue
         i = _first_violation(mono)
         if i is None:
-            add_into(done, ((mono, coeff),))
+            done[mono] = coeff
             continue
         rest = mono[:i] + mono[i + 2:]
-        add_into(pending, ((tuple(sorted(rest + (a, b))), coeff * sign)
-                           for sign, a, b in _exchange_terms(mono[i], mono[i + 1])))
+        for sign, a, b in _exchange_terms(mono[i], mono[i + 1]):
+            m = tuple(sorted(rest + (a, b)))
+            if m not in pending:
+                heappush(heap, (_heap_key(m), m))
+            add_into(pending, ((m, coeff if sign > 0 else -coeff),))
     return PlueckerPoly(p.r, p.n, done)
-
-
-def is_standard(p: PlueckerPoly) -> bool:
-    return all(_first_violation(m) is None for m in p.terms)
 
 
 def restrict_schubert(p: PlueckerPoly, w: ColumnTuple | tuple,

@@ -2,9 +2,16 @@
 
 Rules replace a monomial divisible by a left-hand side, using graded
 lexicographic order (Y1 > Y2 > ... > Yk) to orient every rule downhill.
-Overlap ambiguities are joined both ways; an exhaustive strategy search
-over low degrees certifies unique normal forms in the sense of the
-diamond lemma.
+Every left-hand side is a monic monomial and grlex is a monomial order,
+so rule i is the polynomial lhs_i - rhs_i with leading term lhs_i, and
+one rewriting step is one step of polynomial division.  The certificate
+is Buchberger's criterion (Cox-Little-O'Shea, *Ideals, Varieties, and
+Algorithms*, section 2.9, Theorem 6): the rules form a Groebner basis,
+so every monomial has one normal form in every degree, as soon as each
+overlap ambiguity joins.  Pairs with coprime left-hand sides need no
+check (Buchberger's first criterion, ibid., Proposition 4).  The
+exhaustive search over every reduction strategy in low degrees is kept
+to list the monomials that fail when an ambiguity does not join.
 """
 
 from __future__ import annotations
@@ -156,9 +163,35 @@ def all_normal_forms(p: PolyY, system: RewriteSystem,
     return result
 
 
+def _exhaustive_failures(system: RewriteSystem, through_degree: int) -> list[dict]:
+    """Monomials of degree 2..through_degree with more than one normal form,
+    found by searching every reduction strategy."""
+    memo: dict = {}
+    failures = []
+    for deg in range(2, through_degree + 1):
+        for mono in combinations_with_replacement(range(1, system.k + 1), deg):
+            m = y_mono(system.k, *mono)
+            forms = all_normal_forms({m: Fraction(1)}, system, memo)
+            if len(forms) != 1:
+                failures.append({"monomial": m, "normal_forms": sorted(forms)})
+    return failures
+
+
 def check_confluence(system: RewriteSystem, through_degree: int = 4) -> dict:
-    """Join every overlap ambiguity both ways and exhaustively verify unique
-    normal forms for all monomials up to the given degree."""
+    """Join every overlap ambiguity both ways; the joins are the verdict.
+
+    The left-hand sides are monic and every rule is oriented downhill in
+    grlex, a monomial order.  Two equal normal forms of an ambiguity give
+    the S-polynomial of its two rules a representation below the lcm of
+    their left-hand sides, and coprime pairs are covered by Buchberger's
+    first criterion.  So when every ambiguity joins, the rules are a
+    Groebner basis (Cox-Little-O'Shea, section 2.9, Theorem 6), every
+    monomial of every degree has exactly one normal form, and the report
+    gives ``exhaustive_ok`` with no failures without searching.  When an
+    ambiguity fails, every reduction strategy of every monomial of degree
+    2..through_degree is searched to list the monomials with more than
+    one normal form.
+    """
     amb_reports = []
     ok = True
     for lcm, i, j in ambiguities(system):
@@ -174,22 +207,13 @@ def check_confluence(system: RewriteSystem, through_degree: int = 4) -> dict:
             "via_first": via_i,
             "via_second": via_j,
         })
-    exhaustive_ok = True
-    memo: dict = {}
-    failures = []
-    for deg in range(2, through_degree + 1):
-        for mono in combinations_with_replacement(range(1, system.k + 1), deg):
-            m = y_mono(system.k, *mono)
-            forms = all_normal_forms({m: Fraction(1)}, system, memo)
-            if len(forms) != 1:
-                exhaustive_ok = False
-                failures.append({"monomial": m, "normal_forms": sorted(forms)})
+    failures = [] if ok else _exhaustive_failures(system, through_degree)
     return {
         "ambiguities": amb_reports,
         "exhaustive_degree": through_degree,
-        "exhaustive_ok": exhaustive_ok,
+        "exhaustive_ok": not failures,
         "exhaustive_failures": failures,
-        "ok": ok and exhaustive_ok,
+        "ok": ok,
     }
 
 

@@ -92,6 +92,19 @@ def test_confluence(capsys):
     assert len(report["payload"]["ambiguities"]) == 8
 
 
+def test_joined_ambiguities_certify_confluence_without_search(capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the exhaustive search ran although every ambiguity joins")
+
+    monkeypatch.setattr("grassquot.rewriting._exhaustive_failures", no_search)
+    code, out = run(capsys, "confluence", "--rules", "g37", "--max-degree", "8",
+                    "--json")
+    assert code == 0
+    payload = check_json(out)["payload"]
+    assert payload["exhaustive_degree"] == 8
+    assert payload["exhaustive_ok"] is True and payload["ok"] is True
+
+
 def test_confluence_rule_file(tmp_path, capsys):
     rules = tmp_path / "rules.txt"
     rules.write_text("Y1*Y2 -> Y3^2\n")

@@ -6,10 +6,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassquot import g37
-from grassquot.pluecker import (PlueckerPoly, evaluate, is_standard, minor,
-                                random_point_matrix, restrict_schubert,
-                                straighten, tableau_to_poly, verify_relation)
+from grassquot.pluecker import (PlueckerPoly, _exchange_terms, _first_violation,
+                                evaluate, minor, random_point_matrix,
+                                restrict_schubert, straighten, tableau_to_poly,
+                                verify_relation)
+from grassquot.symbolic import add_into, sparse_rank
 from grassquot.tableaux import Tableau, enumerate_invariants, is_zero_weight
+
+
+def is_standard(p: PlueckerPoly) -> bool:
+    return all(_first_violation(m) is None for m in p.terms)
+
+
+def _max_scan_straighten(p: PlueckerPoly) -> PlueckerPoly:
+    """Oracle: straightening by a linear scan for the largest pending
+    monomial, with unmemoised exchanges and Fraction signs."""
+    pending = dict(p.terms)
+    done: dict = {}
+    while pending:
+        mono = max(pending)
+        coeff = pending.pop(mono)
+        i = next((i for i in range(len(mono) - 1)
+                  if not all(x <= y for x, y in zip(mono[i], mono[i + 1]))), None)
+        if i is None:
+            add_into(done, ((mono, coeff),))
+            continue
+        rest = mono[:i] + mono[i + 2:]
+        add_into(pending, ((tuple(sorted(rest + (a, b))), coeff * Fraction(sign))
+                           for sign, a, b in _exchange_terms.__wrapped__(mono[i], mono[i + 1])))
+    return PlueckerPoly(p.r, p.n, done)
 
 
 def test_two_column_exchange_matches_known_expansion():
@@ -92,6 +117,51 @@ def test_straighten_oracle_property(data):
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=10 ** 6)))
     M = random_point_matrix(rng, n, r)
     assert evaluate(p, M) == evaluate(s, M)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_heap_straighten_equals_max_scan_straighten(data):
+    r = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(min_value=r + 1, max_value=7))
+    degree = data.draw(st.integers(min_value=1, max_value=5))
+    cols = list(combinations(range(1, n + 1), r))
+    monos = data.draw(st.lists(st.lists(st.sampled_from(cols), min_size=degree,
+                                        max_size=degree),
+                               min_size=1, max_size=5))
+    coeffs = data.draw(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool),
+        min_size=len(monos), max_size=len(monos)))
+    p = PlueckerPoly(r, n, dict(zip(map(tuple, monos), coeffs)))
+    got = straighten(p)
+    want = _max_scan_straighten(p)
+    # equal terms, listed in the same order
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_degree_two_relations_are_spanned_by_the_six_rules():
+    # the 28 products Y_i*Y_j, straightened and restricted to [(1,2,3), (3,5,7)],
+    # span the 22 standard monomials, so their relations form a 6-dimensional
+    # kernel; the six rules lie in it (criterion 5) and are independent
+    pairs = [(i, j) for i in range(1, 8) for j in range(i, 8)]
+    images = {(i, j): restrict_schubert(
+        straighten(tableau_to_poly(g37.Y[i]) * tableau_to_poly(g37.Y[j])),
+        g37.W37, (1, 2, 3)) for i, j in pairs}
+    support = {m for q in images.values() for m in q.terms}
+    assert len(pairs) == 28 and len(support) == 22
+    assert sparse_rank([images[ij].terms for ij in pairs], len(support)) == 22
+    relations = []
+    for _name, (i, j), rhs in g37.RELATIONS:
+        vector = {(i, j): Fraction(1)}
+        for sign, ab in rhs:
+            add_into(vector, ((tuple(sorted(ab)), Fraction(-sign)),))
+        image = PlueckerPoly(3, 7)
+        for ij, c in vector.items():
+            image = image + images[ij].scale(c)
+        assert image.is_zero()
+        relations.append(vector)
+    assert sparse_rank(relations) == 6
 
 
 def test_restrict_schubert():

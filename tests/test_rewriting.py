@@ -1,15 +1,29 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grassquot.rewriting import (ambiguities, check_confluence, format_mono,
-                                 format_rules, g37_rules, grlex_key,
-                                 make_system, normal_form_count, parse_rules,
+from grassquot.rewriting import (_exhaustive_failures, ambiguities,
+                                 check_confluence, format_mono, format_rules,
+                                 g37_rules, grlex_key, make_system,
+                                 normal_form_count, parse_rules,
                                  reduce_monomial, reduce_poly,
                                  scroll_matrix_check, y_mono)
 from grassquot.tableaux import enumerate_invariants
 
 SYSTEM = g37_rules()
+
+# g37 with Y3*Y6 -> Y4*Y5 replaced by Y3*Y6 -> Y4^2: four of the eight
+# ambiguities fail to join
+NEGATIVE_RULES = """\
+Y1*Y4 -> Y2*Y3 - Y2*Y7 + Y1*Y7
+Y1*Y5 -> Y3^2 - Y3*Y7
+Y1*Y6 -> Y3*Y4 - Y4*Y7
+Y2*Y5 -> Y3*Y4 - Y3*Y7
+Y2*Y6 -> Y4^2 - Y4*Y7
+Y3*Y6 -> Y4^2
+"""
 
 
 def test_rules_oriented_downhill():
@@ -61,6 +75,54 @@ def test_confluence_with_documented_joins():
     # the degree-homogeneous join of the remaining documented ambiguity
     assert joins["Y2*Y3*Y6"]["normal_form"] == {
         y_mono(7, 3, 4, 4): Fraction(1), y_mono(7, 3, 4, 7): Fraction(-1)}
+
+
+def test_joins_agree_with_full_search_on_g37_through_degree_4():
+    rep = check_confluence(SYSTEM, through_degree=4)
+    assert all(a["joined"] for a in rep["ambiguities"])
+    assert rep["exhaustive_ok"] and rep["exhaustive_failures"] == []
+    assert _exhaustive_failures(SYSTEM, 4) == []
+
+
+def test_failing_joins_keep_the_full_search():
+    system = parse_rules(NEGATIVE_RULES, 7)
+    rep = check_confluence(system, through_degree=4)
+    assert [a["joined"] for a in rep["ambiguities"]].count(False) == 4
+    assert len(rep["ambiguities"]) == 8
+    assert not rep["ok"] and not rep["exhaustive_ok"]
+    assert rep["exhaustive_failures"] == _exhaustive_failures(system, 4)
+    assert len(rep["exhaustive_failures"]) == 34
+
+
+@st.composite
+def monic_downhill_systems(draw):
+    """Up to four rules with distinct quadratic left sides in at most three
+    generators, each right side up to two quadratic monomials below it."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    quadratics = [y_mono(k, *c) for c in combinations_with_replacement(range(1, k + 1), 2)]
+    lhss = draw(st.lists(st.sampled_from(quadratics), min_size=1, max_size=4,
+                         unique=True))
+    rules = []
+    for lhs in lhss:
+        below = [m for m in quadratics if grlex_key(m) < grlex_key(lhs)]
+        rhs = draw(st.dictionaries(
+            st.sampled_from(below),
+            st.integers(min_value=-2, max_value=2).filter(bool).map(Fraction),
+            max_size=2) if below else st.just({}))
+        rules.append((lhs, rhs))
+    return make_system(k, rules)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(monic_downhill_systems())
+def test_joined_ambiguities_leave_no_exhaustive_failure(system):
+    # Buchberger's criterion: when every ambiguity joins, no reduction
+    # strategy of any monomial reaches a second normal form
+    rep = check_confluence(system, through_degree=3)
+    failures = _exhaustive_failures(system, 3)
+    assert rep["exhaustive_failures"] == failures
+    if all(a["joined"] for a in rep["ambiguities"]):
+        assert failures == []
 
 
 def test_empty_system_trivially_confluent():
