@@ -5,6 +5,13 @@ monomial is a multiset of column tuples (stored sorted).  ``straighten``
 rewrites any polynomial onto the standard monomial basis (sorted columns
 forming a componentwise chain); ``evaluate`` is the independent oracle
 sending p_tau to the minor on rows tau of a point matrix.
+
+Inside ``straighten`` a column is an integer code, its rank among the
+r-subsets of [n] (one bounded codec per ring, built on first use), and a
+coefficient is an integer: the input is scaled by the lcm of its
+denominators, which every exchange (signs +-1) preserves.  The output
+coefficients are ``Fraction``s again, and its terms come in descending
+monomial order, the order in which they are finished.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import lcm
+from operator import invert
 
 from .symbolic import SparsePoly, add_into
 from .tableaux import Tableau
@@ -138,15 +147,47 @@ def _exchange_terms(left: Column, right: Column) -> tuple[tuple[int, Column, Col
     return tuple(out)
 
 
-def _heap_key(mono: Monomial) -> tuple[int, ...]:
-    """Key whose ascending order is the descending order of monomials.
+class _Codec:
+    """The columns of one ring (r, n) as integer codes.
 
-    Columns of one ring share their length, so comparing monomials is
-    comparing their flattened entries, a proper prefix being smaller.
-    Negating the entries and closing with 0, above every negated entry,
-    reverses both rules.
+    Code k is the k-th r-subset of [n] in ``combinations`` order, so the
+    order of codes is the order of columns and a sorted monomial encodes
+    to sorted codes.  ``comparable`` holds the code pairs (a, b) whose
+    columns satisfy a <= b componentwise, and ``exchanges`` memoises
+    ``_exchange_terms`` per incomparable code pair.
     """
-    return tuple(-x for col in mono for x in col) + (0,)
+
+    __slots__ = ("r", "n", "columns", "code", "comparable", "exchanges")
+
+    def __init__(self, r: int, n: int):
+        self.r, self.n = r, n
+        self.columns: tuple[Column, ...] = tuple(combinations(range(1, n + 1), r))
+        self.code = {col: k for k, col in enumerate(self.columns)}
+        self.comparable = frozenset(
+            (a, b) for a, ca in enumerate(self.columns)
+            for b, cb in enumerate(self.columns) if _leq_cols(ca, cb))
+        self.exchanges: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
+
+    def encode(self, mono: Monomial) -> tuple[int, ...]:
+        try:
+            return tuple([self.code[col] for col in mono])
+        except KeyError as exc:
+            raise ValueError(f"column {exc.args[0]} is not an increasing {self.r}-subset "
+                             f"of [1, {self.n}]") from None
+
+    def exchange(self, a: int, b: int) -> tuple[tuple[int, int, int], ...]:
+        """``_exchange_terms`` of the columns a, b as (sign, code, code)."""
+        terms = self.exchanges.get((a, b))
+        if terms is None:
+            code, cols = self.code, self.columns
+            terms = self.exchanges[a, b] = tuple(
+                (sign, code[x], code[y]) for sign, x, y in _exchange_terms(cols[a], cols[b]))
+        return terms
+
+
+@lru_cache(maxsize=16)
+def _codec(r: int, n: int) -> _Codec:
+    return _Codec(r, n)
 
 
 def straighten(p: PlueckerPoly) -> PlueckerPoly:
@@ -154,33 +195,53 @@ def straighten(p: PlueckerPoly) -> PlueckerPoly:
 
     Processes the largest pending monomial first; every exchange replaces
     it by monomials that are strictly smaller in the sorted-column
-    lexicographic order, so the loop terminates.  The pending monomials
-    sit in a max-heap, each pushed when it enters ``pending``; a popped
-    monomial that has since cancelled is skipped, and no monomial can
-    re-enter once popped, so the pops come in descending order and the
-    result lists its terms in the order they were finished.  The exchange
-    of a column pair is memoised in ``_exchange_terms``.
+    lexicographic order, so the loop terminates.  The loop runs on the
+    ring's integer column codes (``_codec``), whose order is the column
+    order, and on integer coefficients: the input is scaled by the lcm D
+    of its denominators, every exchange has sign +-1, and the output
+    coefficients are v/D as ``Fraction``.  The pending monomials sit in a
+    max-heap keyed by their negated codes ~c = -1 - c closed by 0: every
+    entry lies below the closing 0, so ascending keys are descending
+    monomials, a proper prefix being smaller.  A monomial is pushed when
+    it enters ``pending``; a popped monomial that has since cancelled is
+    skipped, and no monomial can re-enter once popped, so the pops come
+    in descending order.  Each finished monomial is decoded once, and the
+    result lists its terms in the order they were finished, which is
+    descending monomial order.  A column that is not an increasing
+    r-subset of [n] raises ValueError naming the column and the ring.
     """
-    pending = dict(p.terms)
-    heap = [(_heap_key(m), m) for m in pending]
+    codec = _codec(p.r, p.n)
+    comparable, exchange = codec.comparable, codec.exchange
+    denom = 1
+    for c in p.terms.values():
+        denom = lcm(denom, c.denominator)
+    pending: dict[tuple[int, ...], int] = {}
+    for mono, c in p.terms.items():
+        pending[codec.encode(mono)] = c.numerator * (denom // c.denominator)
+    heap = [(tuple(map(invert, m)) + (0,), m) for m in pending]
     heapify(heap)
     done: dict[Monomial, Fraction] = {}
+    columns = codec.columns
     while heap:
         mono = heappop(heap)[1]
         coeff = pending.pop(mono, None)
         if coeff is None:
             continue
-        i = _first_violation(mono)
-        if i is None:
-            done[mono] = coeff
+        for i in range(len(mono) - 1):
+            if (mono[i], mono[i + 1]) not in comparable:
+                break
+        else:
+            done[tuple([columns[c] for c in mono])] = Fraction(coeff, denom)
             continue
         rest = mono[:i] + mono[i + 2:]
-        for sign, a, b in _exchange_terms(mono[i], mono[i + 1]):
+        for sign, a, b in exchange(mono[i], mono[i + 1]):
             m = tuple(sorted(rest + (a, b)))
             if m not in pending:
-                heappush(heap, (_heap_key(m), m))
-            add_into(pending, ((m, coeff if sign > 0 else -coeff),))
-    return PlueckerPoly(p.r, p.n, done)
+                heappush(heap, (tuple(map(invert, m)) + (0,), m))
+            add_into(pending, ((m, coeff * sign),))
+    out = PlueckerPoly(p.r, p.n)
+    out.terms = done  # sorted monomials, nonzero Fractions
+    return out
 
 
 def restrict_schubert(p: PlueckerPoly, w: ColumnTuple | tuple,

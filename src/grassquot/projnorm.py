@@ -46,12 +46,11 @@ def split(t: Tableau, m: int) -> MuNuSplit:
     n = t.n
     if t.r != 2 or t.d != m * n:
         raise ValueError(f"expected a 2 x {m * n} tableau, got {t.r} x {t.d}")
-    mu_pos = tuple(c for c in range(1, t.d + 1) if (c - 1) % m == 0)
-    mu_cols = [t.column(c - 1) for c in mu_pos]
-    nu_cols = [t.column(c - 1) for c in range(1, t.d + 1) if (c - 1) % m != 0]
-    return MuNuSplit(t, m, mu_pos,
-                     Tableau.from_columns(mu_cols, n, r=2),
-                     Tableau.from_columns(nu_cols, n, r=2))
+    # any subsequence of a tableau's columns is again a tableau
+    mu_rows = tuple(row[::m] for row in t.rows)
+    nu_rows = tuple(tuple(x for j, x in enumerate(row) if j % m) for row in t.rows)
+    return MuNuSplit(t, m, tuple(range(1, t.d + 1, m)),
+                     Tableau(mu_rows, n), Tableau(nu_rows, n))
 
 
 @dataclass(frozen=True)
@@ -302,14 +301,20 @@ def swap_rewrite(t: Tableau) -> SwapResult:
     is strictly smaller in degree-lex, and the whole expansion straightens
     back to p_t exactly.
     """
-    n = t.n
-    m = t.d // n
+    m = t.d // t.n
     s = split(t, m)
     profile = defect_profile(s)
+    return _swap_repaired(t, s, profile, s_blocks(t, profile, m))
+
+
+def _swap_repaired(t: Tableau, s: MuNuSplit, profile: DefectProfile,
+                   blocks: list[SBlock]) -> SwapResult:
+    """swap_rewrite, given the split, defect profile and blocks of t."""
+    n = t.n
+    m = s.m
     if not profile.defects:
         return SwapResult(t, s.mu, tuple(s.nu.columns()),
                           PlueckerPoly.zero(2, n), (), "defect-free")
-    blocks = s_blocks(t, profile, m)
     used: set[int] = set()
     for b in blocks:
         cols = {c for pair in b.pairs for c in pair}
@@ -338,7 +343,8 @@ def swap_rewrite(t: Tableau) -> SwapResult:
             else:
                 options.append([(new1, new2)])
 
-    untouched = [t.column(j - 1) for j in range(1, t.d + 1) if j not in used]
+    t_cols = t.columns()
+    untouched = [t_cols[j - 1] for j in range(1, t.d + 1) if j not in used]
 
     mu_pos = [c for c in range(1, t.d + 1) if (c - 1) % m == 0]
     mu_cols = [(grid[0][c - 1], grid[1][c - 1]) for c in mu_pos]
@@ -504,9 +510,9 @@ def family_check(n: int, m: int, sample: int | None = None, seed: int = 1729) ->
             for i in range(1, n + 1):
                 mod_m_symmetry(t, i, m)
             passed["residue_law"] += 1
-            s_blocks(t, profile, m)
+            blocks = s_blocks(t, profile, m)
             passed["block_laws"] += 1
-            sr = swap_rewrite(t)
+            sr = _swap_repaired(t, s, profile, blocks)
             passed["swap_contract"] += 1
             cases[sr.case] = cases.get(sr.case, 0) + 1
             if profile.defects:

@@ -66,7 +66,7 @@ class Tableau:
         return tuple(row[j] for row in self.rows)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.d)]
+        return list(zip(*self.rows))
 
     def content(self) -> Counter:
         c: Counter = Counter()
@@ -86,13 +86,6 @@ class Tableau:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Tableau":
-        t = cls(tuple(tuple(row) for row in obj["entries"]), obj["n"])
-        if (t.r, t.d) != (obj["rows"], obj["cols"]):
-            raise ValueError("inconsistent shape in tableau encoding")
-        return t
-
-    @classmethod
     def from_columns(cls, cols, n: int, r: int | None = None) -> "Tableau":
         """Canonical tableau with the given column multiset.
 
@@ -108,8 +101,7 @@ class Tableau:
         for a, b in zip(cols, cols[1:]):
             if any(x > y for x, y in zip(a, b)):
                 raise ValueError(f"columns {a}, {b} are not comparable")
-        rr = len(cols[0])
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(rr)), n)
+        return cls(tuple(zip(*cols)), n)
 
 
 def columns_form_chain(cols) -> bool:

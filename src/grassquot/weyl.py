@@ -114,13 +114,6 @@ class ColumnTuple:
     def to_json(self) -> dict:
         return {"r": self.r, "n": self.n, "entries": list(self.entries)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ColumnTuple":
-        ct = cls(tuple(obj["entries"]), obj["n"])
-        if ct.r != obj.get("r", ct.r):
-            raise ValueError("inconsistent r in column tuple encoding")
-        return ct
-
 
 @dataclass(frozen=True)
 class ReducedWord:

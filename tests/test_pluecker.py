@@ -1,13 +1,15 @@
 import random
+import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassquot import g37
-from grassquot.pluecker import (PlueckerPoly, _exchange_terms, _first_violation,
-                                evaluate, minor, random_point_matrix,
+from grassquot.pluecker import (PlueckerPoly, _codec, _exchange_terms,
+                                _first_violation, _leq_cols, evaluate, minor, random_point_matrix,
                                 restrict_schubert, straighten, tableau_to_poly,
                                 verify_relation)
 from grassquot.symbolic import add_into, sparse_rank
@@ -138,6 +140,55 @@ def test_heap_straighten_equals_max_scan_straighten(data):
     # equal terms, listed in the same order
     assert list(got.terms.items()) == list(want.terms.items())
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_heap_straighten_equals_max_scan_straighten_on_mixed_degrees(data):
+    # degrees 0-4 in one polynomial, many monomials prefixes of one another:
+    # the heap must pop a monomial after every monomial it is a prefix of
+    r = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(min_value=r + 1, max_value=7))
+    cols = list(combinations(range(1, n + 1), r))
+    column = st.sampled_from(cols[:3]) | st.sampled_from(cols)
+    base = sorted(data.draw(st.lists(column, min_size=4, max_size=4)))
+    prefixes = data.draw(st.lists(st.integers(min_value=0, max_value=4), max_size=4))
+    others = data.draw(st.lists(st.lists(column, max_size=4), max_size=3))
+    monos = [tuple(base[:k]) for k in prefixes] + [tuple(m) for m in others]
+    coeffs = data.draw(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool),
+        min_size=len(monos), max_size=len(monos)))
+    p = PlueckerPoly(r, n, dict(zip(monos, coeffs)))
+    got = straighten(p)
+    want = _max_scan_straighten(p)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@pytest.mark.parametrize("r, n", [(2, 5), (2, 7), (3, 7), (3, 8)])
+def test_codec_orders_codes_as_columns(r, n):
+    codec = _codec(r, n)
+    subsets = list(combinations(range(1, n + 1), r))
+    assert len(codec.columns) == comb(n, r)
+    assert [codec.code[col] for col in codec.columns] == list(range(comb(n, r)))
+    for a, b in product(subsets, repeat=2):
+        ca, cb = codec.code[a], codec.code[b]
+        assert codec.columns[ca] == a
+        assert (ca < cb) == (a < b)
+        assert ((ca, cb) in codec.comparable) == _leq_cols(a, b)
+
+
+@pytest.mark.parametrize("r, n, cols, bad", [
+    (2, 3, [(2, 1), (1, 3)], (2, 1)),        # p21*p13: not increasing
+    (2, 3, [(1, 2), (1, 4)], (1, 4)),        # outside [1, n]
+    (2, 4, [(1, 2), (1, 2, 3)], (1, 2, 3)),  # wrong length
+    (3, 7, [(0, 1, 2)], (0, 1, 2)),
+])
+def test_straighten_rejects_bad_columns(r, n, cols, bad):
+    p = PlueckerPoly(r, n, {tuple(cols): 1})
+    with pytest.raises(ValueError, match=re.escape(
+            f"column {bad} is not an increasing {r}-subset of [1, {n}]")):
+        straighten(p)
 
 
 def test_degree_two_relations_are_spanned_by_the_six_rules():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from grassquot import projnorm
 from grassquot.pluecker import PlueckerPoly, straighten, tableau_to_poly
 from grassquot.projnorm import (DefectProfile, LemmaViolation, defect_profile,
                                 expand_factorization, factorize, family_check,
@@ -39,6 +40,17 @@ def test_split_partitions_content():
         total = t.content()
         assert s.mu.content() + s.nu.content() == total
         assert s.mu.d == 5 and s.nu.d == 5
+
+
+def test_split_slices_rows_like_gathering_columns():
+    for n, m in [(5, 1), (5, 2), (5, 3), (7, 2)]:
+        for t in _family(n, m):
+            s = split(t, m)
+            cols = t.columns()
+            assert s.mu_columns == tuple(c for c in range(1, t.d + 1) if (c - 1) % m == 0)
+            assert s.mu == Tableau.from_columns(cols[::m], n, r=2)
+            assert s.nu == Tableau.from_columns(
+                [col for j, col in enumerate(cols) if j % m], n, r=2)
 
 
 def test_split_shape_check():
@@ -171,6 +183,27 @@ def test_family_check_green():
     assert rep["ok"] and rep["family_size"] == 16
     rep7 = family_check(7, 2, sample=60, seed=3)
     assert rep7["ok"] and rep7["checked"] == 60
+
+
+def test_family_check_splits_each_tableau_once(monkeypatch):
+    # the 981 members and the 260 further tableaux the factorization reaches,
+    # each split once (the contract's swap repair reuses the family's split)
+    split_of = []
+    real_split = projnorm.split
+
+    def counting_split(t, m):
+        split_of.append(t.rows)
+        return real_split(t, m)
+
+    monkeypatch.setattr(projnorm, "split", counting_split)
+    report = family_check(7, 3)
+    assert len(split_of) == 1241
+    assert report == {
+        "n": 7, "m": 3, "family_size": 981, "checked": 981, "defected": 945,
+        "cases": {"bottom-swaps": 825, "defect-free": 36, "mixed-swaps": 120},
+        "lemma_pass_counts": dict.fromkeys(
+            ("defect_laws", "residue_law", "block_laws", "swap_contract", "factorize"), 981),
+        "reexpanded": 981, "violations": [], "ok": True}
 
 
 def test_surjectivity_oracle():

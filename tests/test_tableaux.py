@@ -273,15 +273,31 @@ def test_factor_witness_exhaustive_degrees_two_and_three():
                 assert is_zero_weight(comp)
 
 
+def test_columns_transpose_rows():
+    for t in [g37.GAMMA37, g37.Z20, Tableau(((), ()), 5)]:
+        assert t.columns() == [tuple(row[j] for row in t.rows) for j in range(t.d)]
+    for t in g37.Y.values():
+        assert Tableau.from_columns(t.columns(), t.n) == t
+        assert Tableau.from_columns(reversed(t.columns()), t.n) == t
+
+
 def test_from_columns_rejects_incomparable():
     assert not columns_form_chain([(1, 4), (2, 3)])
     with pytest.raises(ValueError):
         Tableau.from_columns([(1, 4), (2, 3)], 4)
 
 
+def _tableau_from_json(obj: dict) -> Tableau:
+    """Inverse of Tableau.to_json."""
+    t = Tableau(tuple(tuple(row) for row in obj["entries"]), obj["n"])
+    if (t.r, t.d) != (obj["rows"], obj["cols"]):
+        raise ValueError("inconsistent shape in tableau encoding")
+    return t
+
+
 def test_tableau_json_roundtrip():
     t = g37.Y[3]
-    assert Tableau.from_json(t.to_json()) == t
+    assert _tableau_from_json(t.to_json()) == t
 
 
 def test_enumerate_rejects_bad_parameters():

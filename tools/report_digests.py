@@ -1,0 +1,50 @@
+"""Print a digest of each of a fixed set of grassquot reports.
+
+    PYTHONPATH=src python3 tools/report_digests.py > digests.txt
+
+Runs every command below in this process through ``grassquot.cli.main``
+and prints one line per command: the sha256 of its stdout and stderr,
+its exit code and its argv.  Run it once per checkout, with that
+checkout's ``src`` on PYTHONPATH, and diff the two outputs: equal lines
+mean byte-identical reports and equal exit codes.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+
+from grassquot import cli
+
+G2N_FAMILIES = ((5, 2), (5, 3), (5, 4), (5, 5), (5, 6), (5, 7), (5, 8), (7, 2), (7, 3))
+PROBES = ("s2s4s3", "s2s3", "s4s3", "s3")
+
+COMMANDS = (
+    [["projnorm", "--n", str(n), "--m", str(m), "--exhaustive", "--oracle", "--json"]
+     for n, m in G2N_FAMILIES]
+    + [["acceptance", "--json"],
+       ["verify-relations", "--json"],
+       ["confluence", "--rules", "g37", "--max-degree", "4", "--json"]]
+    + [["deodhar", "--probe", case, "--json"] for case in PROBES]
+)
+
+
+def digest(argv: list[str]) -> tuple[str, int]:
+    """sha256 of the command's stdout and stderr, and its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = out.getvalue() + "\0" + err.getvalue()
+    return hashlib.sha256(text.encode()).hexdigest(), code
+
+
+def main() -> int:
+    print(f"# grassquot from {cli.__file__}", file=sys.stderr)
+    for argv in COMMANDS:
+        sha, code = digest(argv)
+        print(sha, code, " ".join(argv), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
