@@ -3,7 +3,7 @@
 from .weyl import (ColumnTuple, ReducedWord, Weight, bruhat_leq, canonical_word,
                    gamma_tableau, is_coxeter_quotient, minimal_richardson_v,
                    minimal_schubert, restriction_height)
-from .tableaux import (Tableau, column_census, count_invariants, deglex_compare,
+from .tableaux import (Tableau, column_census, count_invariants,
                        enumerate_invariants, is_zero_weight)
 from .pluecker import (PlueckerPoly, evaluate, restrict_schubert, straighten,
                        tableau_to_poly, verify_relation)

@@ -255,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("verify-relations", parents=[common], help="check the quadratic relations")
-    p.add_argument("--family", choices=["g37"], default="g37")
     p.set_defaults(fn=cmd_verify_relations)
 
     p = sub.add_parser("confluence", parents=[common], help="join ambiguities and verify normal forms")

@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import g37
-from .symbolic import (Poly, PolyMatrix, identity_matrix, mat_det,
-                       sparse_rank, submatrix_det)
+from .symbolic import (Poly, PolyMatrix, identity_matrix, sparse_rank,
+                       submatrix_det)
 from .tableaux import LemmaViolation, Tableau, enumerate_invariants
 from .weyl import (ColumnTuple, Perm, canonical_word, gamma_tableau,
                    identity_perm, is_reduced, minimal_richardson_v,
@@ -156,9 +156,6 @@ class CellMatrix:
     @property
     def nvars(self) -> int:
         return len(self.p_positions) + len(self.m_positions)
-
-    def determinant(self) -> Poly:
-        return mat_det(self.mat)
 
     def substitute(self, values) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(e.subs(values) for e in row) for row in self.mat)

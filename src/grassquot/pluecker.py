@@ -16,7 +16,6 @@ monomial order, the order in which they are finished.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -109,7 +108,6 @@ def _sort_sign(seq: tuple[int, ...]) -> tuple[int, Column] | None:
     return sign, tuple(lst)
 
 
-@lru_cache(maxsize=4096)
 def _exchange_terms(left: Column, right: Column) -> tuple[tuple[int, Column, Column], ...]:
     """Rewrite p_left * p_right across its first violating row.
 
@@ -118,7 +116,8 @@ def _exchange_terms(left: Column, right: Column) -> tuple[tuple[int, Column, Col
     all balanced ways; the alternating-sum identity for r+1 vectors in an
     r-dimensional space makes the signed sum over all splits vanish, which
     expresses the input product by strictly smaller monomials.  Returns
-    (sign, column, column) triples with sign +1 or -1, memoised per pair.
+    (sign, column, column) triples with sign +1 or -1; ``_Codec.exchange``
+    memoises them per code pair.
     """
     k = next(i for i in range(len(left)) if left[i] > right[i])  # 0-based
     prefix = left[:k]
@@ -317,8 +316,3 @@ def evaluate(p: PlueckerPoly, M: Matrix) -> Fraction:
             val *= minor(M, col)
         total += val
     return total
-
-
-def random_point_matrix(rng: random.Random, n: int, r: int, bound: int = 9) -> Matrix:
-    return tuple(tuple(Fraction(rng.randint(-bound, bound)) for _ in range(r))
-                 for _ in range(n))

@@ -34,9 +34,7 @@ class FlaggedCase(RuntimeError):
 
 @dataclass(frozen=True)
 class MuNuSplit:
-    source: Tableau
     m: int
-    mu_columns: tuple[int, ...]   # 1-based positions 1, m+1, ..., (n-1)m+1
     mu: Tableau
     nu: Tableau
 
@@ -49,17 +47,13 @@ def split(t: Tableau, m: int) -> MuNuSplit:
     # any subsequence of a tableau's columns is again a tableau
     mu_rows = tuple(row[::m] for row in t.rows)
     nu_rows = tuple(tuple(x for j, x in enumerate(row) if j % m) for row in t.rows)
-    return MuNuSplit(t, m, tuple(range(1, t.d + 1, m)),
-                     Tableau(mu_rows, n), Tableau(nu_rows, n))
+    return MuNuSplit(m, Tableau(mu_rows, n), Tableau(nu_rows, n))
 
 
 @dataclass(frozen=True)
 class DefectProfile:
     defects: tuple[int, ...]
     multiplicity: dict[int, int]
-
-    def __iter__(self):
-        return iter(self.defects)
 
 
 def defect_profile(s: MuNuSplit) -> DefectProfile:
@@ -69,7 +63,7 @@ def defect_profile(s: MuNuSplit) -> DefectProfile:
     occurs, defects come in even number, and their multiplicities
     alternate 3, 1, 3, 1 in increasing order with the 3s hitting both rows.
     """
-    n = s.source.n
+    n = s.mu.n
     counts = {i: 0 for i in range(1, n + 1)}
     for row in s.mu.rows:
         for x in row:
@@ -212,6 +206,7 @@ def _check_block(t: Tableau, b: SBlock) -> None:
 # the repair step
 
 _MOVES = ("B", "T", "C", "N")
+_NODE_CAP = 200_000  # move-search nodes per block before the case is flagged
 
 
 def _move_delta(move: str, e: tuple[int, int, int, int]) -> tuple[tuple[int, int], ...]:
@@ -232,7 +227,7 @@ def _move_valid(move: str, e: tuple[int, int, int, int]) -> bool:
     return True
 
 
-def _find_block_moves(t: Tableau, b: SBlock, node_cap: int = 200_000) -> list[str]:
+def _find_block_moves(t: Tableau, b: SBlock) -> list[str]:
     """Moves per pair netting one defect unit onto the next defect.
 
     Depth-first over per-pair moves (swap bottoms, swap tops, swap whole
@@ -247,9 +242,9 @@ def _find_block_moves(t: Tableau, b: SBlock, node_cap: int = 200_000) -> list[st
     def rec(k: int, delta: dict[int, int]) -> list[str] | None:
         nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
+        if nodes > _NODE_CAP:
             raise FlaggedCase(
-                f"move search exceeded {node_cap} nodes on block {b.defect}")
+                f"move search exceeded {_NODE_CAP} nodes on block {b.defect}")
         if k == len(entries):
             return [] if delta == target else None
         if len(delta) > 6:
@@ -283,11 +278,9 @@ def _apply_move(move: str, e: tuple[int, int, int, int]) -> tuple[tuple[int, int
 
 @dataclass(frozen=True)
 class SwapResult:
-    source: Tableau
     mu_prime: Tableau
     nu_prime_columns: tuple[tuple[int, ...], ...]
     corrections: PlueckerPoly
-    moves: tuple[tuple[int, str], ...]   # (defect, moves string) per block
     case: str
 
 
@@ -313,8 +306,8 @@ def _swap_repaired(t: Tableau, s: MuNuSplit, profile: DefectProfile,
     n = t.n
     m = s.m
     if not profile.defects:
-        return SwapResult(t, s.mu, tuple(s.nu.columns()),
-                          PlueckerPoly.zero(2, n), (), "defect-free")
+        return SwapResult(s.mu, tuple(s.nu.columns()), PlueckerPoly.zero(2, n),
+                          "defect-free")
     used: set[int] = set()
     for b in blocks:
         cols = {c for pair in b.pairs for c in pair}
@@ -324,11 +317,9 @@ def _swap_repaired(t: Tableau, s: MuNuSplit, profile: DefectProfile,
 
     grid = [list(t.rows[0]), list(t.rows[1])]
     options: list[list[tuple[tuple[int, int], ...]]] = []
-    move_log = []
     case = "bottom-swaps"
     for b in blocks:
         moves = _find_block_moves(t, b)
-        move_log.append((b.defect, "".join(moves)))
         if any(mv in ("T", "C", "N") for mv in moves):
             case = "mixed-swaps"
         for k, ((c1, c2), mv) in enumerate(zip(b.pairs, moves)):
@@ -380,8 +371,7 @@ def _swap_repaired(t: Tableau, s: MuNuSplit, profile: DefectProfile,
         if (len(mono), tuple(mono)) >= tkey:
             raise LemmaViolation(
                 f"correction monomial {mono} not smaller than the input")
-    return SwapResult(t, mu_prime, tuple(sorted(nu_cols)), corrections,
-                      tuple(move_log), case)
+    return SwapResult(mu_prime, tuple(sorted(nu_cols)), corrections, case)
 
 
 # ---------------------------------------------------------------------------

@@ -326,10 +326,3 @@ def format_poly(p: PolyY) -> str:
     if text.startswith("- "):
         return "-" + text[2:]
     return text
-
-
-def format_rules(system: RewriteSystem) -> str:
-    lines = []
-    for lhs, rhs in system.rules:
-        lines.append(f"{format_mono(lhs)} -> {format_poly({m: c for m, c in rhs})}")
-    return "\n".join(lines)

@@ -74,9 +74,6 @@ class Tableau:
             c.update(row)
         return c
 
-    def first_column(self) -> ColumnTuple:
-        return ColumnTuple(self.column(0), self.n)
-
     def to_json(self) -> dict:
         return {
             "rows": self.r,
@@ -209,10 +206,3 @@ def column_census(t: Tableau) -> Counter:
 def deglex_key(t: Tableau) -> tuple:
     """Sort key for the degree-lexicographic order on rectangular tableaux."""
     return (t.d, tuple(t.columns()))
-
-
-def deglex_compare(s: Tableau, t: Tableau) -> int:
-    """-1, 0 or 1: longer tableau is greater; at equal length compare the
-    column sequences left to right, each column lexicographically."""
-    ks, kt = deglex_key(s), deglex_key(t)
-    return (ks > kt) - (ks < kt)

@@ -152,16 +152,8 @@ class Weight:
             out.append(acc)
         return tuple(out)
 
-    @classmethod
-    def from_alpha(cls, alpha: tuple[int, ...]) -> "Weight":
-        ext = (0,) + tuple(alpha) + (0,)
-        return cls(tuple(ext[i + 1] - ext[i] for i in range(len(alpha) + 1)))
-
     def height(self) -> int:
         return sum(self.alpha())
-
-    def to_json(self) -> dict:
-        return {"eps": list(self.eps)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from grassquot import g37
 from grassquot.pluecker import (PlueckerPoly, _codec, _exchange_terms,
-                                _first_violation, _leq_cols, evaluate, minor, random_point_matrix,
+                                _first_violation, _leq_cols, evaluate, minor,
                                 restrict_schubert, straighten, tableau_to_poly,
                                 verify_relation)
 from grassquot.symbolic import add_into, sparse_rank
 from grassquot.tableaux import Tableau, enumerate_invariants, is_zero_weight
+
+
+def random_point_matrix(rng: random.Random, n: int, r: int, bound: int = 9):
+    """An n x r matrix of random integers in [-bound, bound], as Fractions."""
+    return tuple(tuple(Fraction(rng.randint(-bound, bound)) for _ in range(r))
+                 for _ in range(n))
 
 
 def is_standard(p: PlueckerPoly) -> bool:
@@ -35,7 +41,7 @@ def _max_scan_straighten(p: PlueckerPoly) -> PlueckerPoly:
             continue
         rest = mono[:i] + mono[i + 2:]
         add_into(pending, ((tuple(sorted(rest + (a, b))), coeff * Fraction(sign))
-                           for sign, a, b in _exchange_terms.__wrapped__(mono[i], mono[i + 1])))
+                           for sign, a, b in _exchange_terms(mono[i], mono[i + 1])))
     return PlueckerPoly(p.r, p.n, done)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from grassquot import projnorm
 from grassquot.pluecker import PlueckerPoly, straighten, tableau_to_poly
-from grassquot.projnorm import (DefectProfile, LemmaViolation, defect_profile,
+from grassquot.projnorm import (LemmaViolation, defect_profile,
                                 expand_factorization, factorize, family_check,
                                 mod_m_symmetry, s_blocks, split,
                                 surjectivity_oracle, swap_rewrite)
@@ -47,7 +47,6 @@ def test_split_slices_rows_like_gathering_columns():
         for t in _family(n, m):
             s = split(t, m)
             cols = t.columns()
-            assert s.mu_columns == tuple(c for c in range(1, t.d + 1) if (c - 1) % m == 0)
             assert s.mu == Tableau.from_columns(cols[::m], n, r=2)
             assert s.nu == Tableau.from_columns(
                 [col for j, col in enumerate(cols) if j % m], n, r=2)
@@ -93,10 +92,10 @@ def test_mod_m_symmetry():
     g = gamma_tableau(2, 5)
     rep = mod_m_symmetry(g, 3, 1)
     assert rep["both_rows"] and rep["congruence_holds"]
-    # value in a single row: vacuous
+    # a value in a single row makes the law vacuous (None)
     t = _family(5, 2)[0]
     reps = [mod_m_symmetry(t, i, 2) for i in range(1, 6)]
-    assert any(r["congruence_holds"] is None for r in reps) or True
+    assert [r["congruence_holds"] for r in reps] == [None, None, None, True, None]
     for n, m in [(5, 2), (5, 3), (7, 2)]:
         for t in _family(n, m):
             for i in range(1, n + 1):
@@ -227,13 +226,6 @@ def test_defect_profile_flags_non_invariant_input():
     t = Tableau(rows, 5)
     with pytest.raises(LemmaViolation):
         defect_profile(split(t, 2))
-
-
-def test_defect_profile_type():
-    t = _family(5, 2)[3]
-    profile = defect_profile(split(t, 2))
-    assert isinstance(profile, DefectProfile)
-    assert list(profile) == list(profile.defects)
 
 
 def test_family_beyond_the_core_cases():

@@ -19,12 +19,25 @@ from grassquot import cli
 G2N_FAMILIES = ((5, 2), (5, 3), (5, 4), (5, 5), (5, 6), (5, 7), (5, 8), (7, 2), (7, 3))
 PROBES = ("s2s4s3", "s2s3", "s4s3", "s3")
 
+INVARIANTS = ["invariants", "--r", "3", "--n", "7", "--m", "2", "--w", "3,5,7", "--v", "1,2,3"]
+
+# Every subcommand appears at least once; acceptance and verify-relations
+# also in text mode.
 COMMANDS = (
     [["projnorm", "--n", str(n), "--m", str(m), "--exhaustive", "--oracle", "--json"]
      for n, m in G2N_FAMILIES]
-    + [["acceptance", "--json"],
+    + [["projnorm", "--n", "7", "--m", "2", "--sample", "60", "--json"],
+       ["acceptance", "--json"],
+       ["acceptance"],
        ["verify-relations", "--json"],
-       ["confluence", "--rules", "g37", "--max-degree", "4", "--json"]]
+       ["verify-relations"],
+       ["confluence", "--rules", "g37", "--max-degree", "4", "--json"],
+       ["minimal-schubert", "--r", "3", "--n", "7", "--json"],
+       ["gamma", "--r", "3", "--n", "8", "--json"],
+       INVARIANTS + ["--json"],
+       INVARIANTS + ["--count-only", "--json"],
+       ["deodhar", "--v", "1,3,5", "--json"],
+       ["deodhar", "--v", "1,3,5", "--enumerate", "--json"]]
     + [["deodhar", "--probe", case, "--json"] for case in PROBES]
 )
 
