@@ -256,9 +256,6 @@ def run_criterion(cid: int, seed: int = DEFAULT_SEED) -> dict:
 
 
 def run_suite(only: int | None = None, seed: int = DEFAULT_SEED) -> dict:
-    results = []
-    for cid, _title, _fn in CRITERIA:
-        if only is not None and cid != only:
-            continue
-        results.append(run_criterion(cid, seed))
+    ids = [cid for cid, _, _ in CRITERIA] if only is None else [only]
+    results = [run_criterion(cid, seed) for cid in ids]
     return {"passed": all(r["passed"] for r in results), "criteria": results}

@@ -96,6 +96,9 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    for bounds in (args.w, args.v):
+        if bounds:
+            ColumnTuple(bounds, args.n)  # raises unless strictly increasing in [1, n]
     w = args.w or tuple(range(args.n - args.r + 1, args.n + 1))
     v = args.v or tuple(range(1, args.r + 1))
     payload: dict = {"r": args.r, "n": args.n, "m": args.m,

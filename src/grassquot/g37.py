@@ -8,9 +8,7 @@ every enumerated invariant.
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .tableaux import LemmaViolation, Tableau, column_census, columns_form_chain
+from .tableaux import LemmaViolation, Tableau, column_census
 
 N = 7
 W37 = (3, 5, 7)
@@ -90,10 +88,10 @@ def factor_lemma_witness(t: Tableau) -> tuple[str, Tableau]:
         if any(census.get(c, 0) < k for c, k in gc.items()):
             return None
         rest = census - gc
-        cols = list(Counter(dict(rest)).elements())
-        if not columns_form_chain(cols):
+        try:
+            return Tableau.from_columns(rest.elements(), N, r=3)
+        except ValueError:
             return None
-        return Tableau.from_columns(cols, N, r=3)
 
     for i in range(1, 8):
         comp = try_factor(Y[i])

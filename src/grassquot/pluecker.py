@@ -59,10 +59,10 @@ class PlueckerPoly(SparsePoly):
         return cls(r, n)
 
     @classmethod
-    def monomial(cls, cols, n: int, coeff=1) -> "PlueckerPoly":
+    def monomial(cls, cols, n: int) -> "PlueckerPoly":
         cols = tuple(sorted(tuple(c) for c in cols))
         r = len(cols[0]) if cols else 0
-        return cls(r, n, {cols: Fraction(coeff)})
+        return cls(r, n, {cols: Fraction(1)})
 
     def __repr__(self) -> str:
         if not self.terms:

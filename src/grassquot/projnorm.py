@@ -21,8 +21,8 @@ from itertools import chain, combinations_with_replacement
 from .pluecker import (PlueckerPoly, _first_violation, restrict_schubert,
                        straighten, tableau_to_poly)
 from .symbolic import add_into, sparse_rank
-from .tableaux import (LemmaViolation, Tableau, columns_form_chain, deglex_key,
-                       enumerate_invariants, is_zero_weight)
+from .tableaux import (LemmaViolation, Tableau, deglex_key, enumerate_invariants,
+                       is_zero_weight)
 
 
 class FlaggedCase(RuntimeError):
@@ -209,22 +209,15 @@ _MOVES = ("B", "T", "C", "N")
 _NODE_CAP = 200_000  # move-search nodes per block before the case is flagged
 
 
-def _move_delta(move: str, e: tuple[int, int, int, int]) -> tuple[tuple[int, int], ...]:
-    """(value, +-1) changes a move makes to the selected columns' multiset."""
+def _apply_move(move: str, e: tuple[int, int, int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
     p, q, r, s = e
     if move == "B":
-        return (r, -1), (s, 1)
+        return (p, s), (q, r)
     if move == "T":
-        return (p, -1), (q, 1)
+        return (q, r), (p, s)
     if move == "C":
-        return (p, -1), (r, -1), (q, 1), (s, 1)
-    return ()
-
-
-def _move_valid(move: str, e: tuple[int, int, int, int]) -> bool:
-    if move in ("B", "T"):
-        return e[1] < e[2]  # swapped column (q, r) must stay strict
-    return True
+        return (q, s), (p, r)
+    return (p, r), (q, s)
 
 
 def _find_block_moves(t: Tableau, b: SBlock) -> list[str]:
@@ -233,10 +226,21 @@ def _find_block_moves(t: Tableau, b: SBlock) -> list[str]:
     Depth-first over per-pair moves (swap bottoms, swap tops, swap whole
     columns, leave alone), tracking the exact multiset change of the
     selected columns; bottom swaps are preferred so defect-free runs
-    reproduce the plain bottom-exchange scheme.
+    reproduce the plain bottom-exchange scheme.  Both facts about a move
+    come from _apply_move: it is valid when its new columns are strictly
+    increasing, and it changes the selected columns by its new left column
+    minus the old one.
     """
     target = {b.defect: -1, b.next_defect: 1}
-    entries = [b.entries(t, k) for k in range(len(b.pairs))]
+    steps = []
+    for k in range(len(b.pairs)):
+        e = b.entries(t, k)
+        step = []
+        for move in _MOVES:
+            new1, new2 = _apply_move(move, e)
+            if new1[0] < new1[1] and new2[0] < new2[1]:
+                step.append((move, ((new1[0], 1), (new1[1], 1), (e[0], -1), (e[2], -1))))
+        steps.append(step)
     nodes = 0
 
     def rec(k: int, delta: dict[int, int]) -> list[str] | None:
@@ -245,14 +249,12 @@ def _find_block_moves(t: Tableau, b: SBlock) -> list[str]:
         if nodes > _NODE_CAP:
             raise FlaggedCase(
                 f"move search exceeded {_NODE_CAP} nodes on block {b.defect}")
-        if k == len(entries):
+        if k == len(steps):
             return [] if delta == target else None
         if len(delta) > 6:
             return None
-        for move in _MOVES:
-            if not _move_valid(move, entries[k]):
-                continue
-            tail = rec(k + 1, add_into(dict(delta), _move_delta(move, entries[k])))
+        for move, change in steps[k]:
+            tail = rec(k + 1, add_into(dict(delta), change))
             if tail is not None:
                 return [move] + tail
         return None
@@ -263,17 +265,6 @@ def _find_block_moves(t: Tableau, b: SBlock) -> list[str]:
             f"no entry-swap scheme repairs block {b.defect}->{b.next_defect} "
             f"with pairs {b.pairs}")
     return moves
-
-
-def _apply_move(move: str, e: tuple[int, int, int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
-    p, q, r, s = e
-    if move == "B":
-        return (p, s), (q, r)
-    if move == "T":
-        return (q, r), (p, s)
-    if move == "C":
-        return (q, s), (p, r)
-    return (p, r), (q, s)
 
 
 @dataclass(frozen=True)
@@ -287,12 +278,12 @@ class SwapResult:
 def swap_rewrite(t: Tableau) -> SwapResult:
     """Rewrite p_t as p_mu' * p_nu' plus strictly smaller standard monomials.
 
-    Applies the block repair moves in place, expands every bottom/top swap
-    through the quadratic exchange p_(p,r) p_(q,s) = p_(p,s) p_(q,r) +
-    p_(p,q) p_(r,s), and checks the advertised contract: the selected
-    columns of the swapped tableau are balanced, every correction monomial
-    is strictly smaller in degree-lex, and the whole expansion straightens
-    back to p_t exactly.
+    Applies the block repair moves to the columns of t, expands every
+    bottom/top swap through the quadratic exchange p_(p,r) p_(q,s) =
+    p_(p,s) p_(q,r) + p_(p,q) p_(r,s), and checks the advertised contract:
+    the selected columns of the swapped tableau are balanced, every
+    correction monomial is strictly smaller in degree-lex, and the whole
+    expansion straightens back to p_t exactly.
     """
     m = t.d // t.n
     s = split(t, m)
@@ -315,7 +306,7 @@ def _swap_repaired(t: Tableau, s: MuNuSplit, profile: DefectProfile,
             raise FlaggedCase(f"blocks share columns near defect {b.defect}")
         used |= cols
 
-    grid = [list(t.rows[0]), list(t.rows[1])]
+    cols = t.columns()
     options: list[list[tuple[tuple[int, int], ...]]] = []
     case = "bottom-swaps"
     for b in blocks:
@@ -325,8 +316,7 @@ def _swap_repaired(t: Tableau, s: MuNuSplit, profile: DefectProfile,
         for k, ((c1, c2), mv) in enumerate(zip(b.pairs, moves)):
             e = b.entries(t, k)
             new1, new2 = _apply_move(mv, e)
-            grid[0][c1 - 1], grid[1][c1 - 1] = new1
-            grid[0][c2 - 1], grid[1][c2 - 1] = new2
+            cols[c1 - 1], cols[c2 - 1] = new1, new2
             p, q, r, s_ = e
             if mv in ("B", "T") and p < q and r < s_:
                 # exchange identity: main columns plus the (p,q),(r,s) term
@@ -334,16 +324,14 @@ def _swap_repaired(t: Tableau, s: MuNuSplit, profile: DefectProfile,
             else:
                 options.append([(new1, new2)])
 
-    t_cols = t.columns()
-    untouched = [t_cols[j - 1] for j in range(1, t.d + 1) if j not in used]
-
-    mu_pos = [c for c in range(1, t.d + 1) if (c - 1) % m == 0]
-    mu_cols = [(grid[0][c - 1], grid[1][c - 1]) for c in mu_pos]
-    nu_cols = [(grid[0][c - 1], grid[1][c - 1]) for c in range(1, t.d + 1)
-               if (c - 1) % m != 0]
-    if not columns_form_chain(mu_cols):
-        raise LemmaViolation(f"swapped selected columns not a chain: {mu_cols}")
-    mu_prime = Tableau.from_columns(mu_cols, n, r=2)
+    untouched = [c for j, c in enumerate(cols, start=1) if j not in used]
+    mu_cols = cols[::m]
+    nu_cols = [c for j, c in enumerate(cols) if j % m]
+    try:
+        mu_prime = Tableau.from_columns(mu_cols, n, r=2)
+    except ValueError as exc:
+        raise LemmaViolation(
+            f"swapped selected columns {mu_cols} form no tableau: {exc}") from None
     if not is_zero_weight(mu_prime):
         raise LemmaViolation(f"swapped selected columns not balanced: {mu_cols}")
 
@@ -356,7 +344,7 @@ def _swap_repaired(t: Tableau, s: MuNuSplit, profile: DefectProfile,
     if not (straighten(total) - tableau_to_poly(t)).is_zero():
         raise LemmaViolation("pair expansion does not straighten back to the input")
 
-    main_key = tuple(sorted((grid[0][j], grid[1][j]) for j in range(t.d)))
+    main_key = tuple(sorted(cols))
     rest = dict(expansion)
     coeff = rest.pop(main_key, Fraction(0))
     if coeff == 0:

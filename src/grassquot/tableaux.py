@@ -101,12 +101,6 @@ class Tableau:
         return cls(tuple(zip(*cols)), n)
 
 
-def columns_form_chain(cols) -> bool:
-    """True iff the multiset of columns sorts into a componentwise chain."""
-    cols = sorted(tuple(c) for c in cols)
-    return all(all(x <= y for x, y in zip(a, b)) for a, b in zip(cols, cols[1:]))
-
-
 def is_zero_weight(t: Tableau) -> bool:
     """True iff every value 1..n appears equally often (torus invariance)."""
     c = t.content()

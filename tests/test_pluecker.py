@@ -93,7 +93,7 @@ def test_straighten_agrees_with_evaluation_oracle():
         cols = list(combinations(range(1, n + 1), r))
         for _ in range(25):
             a, b = rng.choice(cols), rng.choice(cols)
-            p = PlueckerPoly.monomial([a, b], n, rng.randint(1, 5))
+            p = PlueckerPoly.monomial([a, b], n).scale(rng.randint(1, 5))
             s = straighten(p)
             assert is_standard(s)
             for _ in range(4):

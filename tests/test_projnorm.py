@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,23 @@ def test_s_blocks_structure_exhaustively():
                 for k in range(len(b.pairs)):
                     e = b.entries(t, k)
                     assert e[2] >= e[1]  # bottom-left at least top-right
+
+
+def test_block_moves_are_strict_and_move_one_defect_unit():
+    for n, m in [(5, 2), (5, 3), (7, 2), (7, 3)]:
+        for t in _family(n, m):
+            for b in s_blocks(t, defect_profile(split(t, m)), m):
+                moves = projnorm._find_block_moves(t, b)
+                assert len(moves) == len(b.pairs)
+                change = Counter()  # values gained minus values lost by the selected columns
+                for k, move in enumerate(moves):
+                    e = b.entries(t, k)
+                    new1, new2 = projnorm._apply_move(move, e)
+                    assert new1[0] < new1[1] and new2[0] < new2[1], (t.rows, b, move)
+                    change.update(new1)
+                    change.subtract((e[0], e[2]))
+                assert +change == Counter({b.next_defect: 1}), (t.rows, b, moves)
+                assert -change == Counter({b.defect: 1}), (t.rows, b, moves)
 
 
 def test_defect_free_swap_is_identity():

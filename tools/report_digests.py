@@ -39,6 +39,10 @@ COMMANDS = (
        ["deodhar", "--v", "1,3,5", "--json"],
        ["deodhar", "--v", "1,3,5", "--enumerate", "--json"]]
     + [["deodhar", "--probe", case, "--json"] for case in PROBES]
+    # input errors, which exit 2
+    + [["acceptance", "--only", "13"],
+       ["invariants", "--r", "2", "--n", "5", "--m", "1", "--w", "5,4", "--json"],
+       ["projnorm", "--n", "5", "--m", "0", "--json"]]
 )
 
 
