@@ -18,7 +18,7 @@ from .pluecker import PlueckerPoly, restrict_schubert, straighten, verify_relati
 from .projnorm import family_check, surjectivity_oracle
 from .rewriting import (check_confluence, format_poly, g37_rules, normal_form_count,
                         reduce_monomial, scroll_matrix_check, y_mono)
-from .tableaux import enumerate_invariants
+from .tableaux import count_invariants, enumerate_invariants
 from .weyl import (ColumnTuple, canonical_word, gamma_tableau, minimal_schubert,
                    minimal_richardson_v, perm_inv, perm_length, perm_mul,
                    reduced_word_of, restriction_height)
@@ -116,7 +116,7 @@ def crit_7_dimension_match(seed: int) -> dict:
     ok = True
     for m in (1, 2, 3):
         nf = normal_form_count(system, m)
-        dim = len(enumerate_invariants(3, 7, m, g37.W37, (1, 2, 3)))
+        dim = count_invariants(3, 7, m, g37.W37, (1, 2, 3))
         detail[m] = {"normal_forms": nf, "invariants": dim}
         ok &= nf == dim
     return {"passed": ok, "dimensions": detail}
