@@ -265,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'g37' or a rule file like 'Y1*Y5 -> Y3^2 - Y3*Y7'")
     p.add_argument("--generators", type=int, default=7,
                    help="generator count for rule files (default %(default)s)")
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=int, default=4,
+                   help="when a join fails, search every strategy in degrees 2 to this "
+                        "(at least 2; default %(default)s)")
     p.set_defaults(fn=cmd_confluence)
 
     p = sub.add_parser("deodhar", parents=[common], help="subexpressions, cells and probes")

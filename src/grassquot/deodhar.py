@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from . import g37
-from .symbolic import (Poly, PolyMatrix, identity_matrix, sparse_rank,
-                       submatrix_det)
+from .symbolic import Poly, PolyMatrix, add_into, sparse_rank, submatrix_det
 from .tableaux import LemmaViolation, Tableau, enumerate_invariants
 from .weyl import (ColumnTuple, Perm, canonical_word, gamma_tableau,
                    identity_perm, is_reduced, minimal_richardson_v,
@@ -161,6 +161,23 @@ class CellMatrix:
         return tuple(tuple(e.subs(values) for e in row) for row in self.mat)
 
 
+_Column = dict[int, dict[tuple[int, ...], int]]   # row -> exponent -> coefficient
+
+
+def _times(col: _Column, e: tuple[int, ...], sign: int) -> _Column:
+    """A new column: col times sign * (the monomial with exponent e)."""
+    return {row: {tuple(map(add, x, e)): sign * c for x, c in entry.items()}
+            for row, entry in col.items()}
+
+
+def _add_column(target: _Column, col: _Column) -> _Column:
+    """Add col into target, dropping the rows that cancel."""
+    for row, entry in col.items():
+        if not add_into(target.setdefault(row, {}), entry.items()):
+            del target[row]
+    return target
+
+
 def cell_matrix(mask: SubexpressionMask) -> CellMatrix:
     """Ordered product of the per-letter factors of a distinguished mask.
 
@@ -171,6 +188,11 @@ def cell_matrix(mask: SubexpressionMask) -> CellMatrix:
     - skipped letter, y_i(p): a becomes a + p*b;
     - kept descent, x_i(m) s_i: (a, b) becomes (m*a + b, -a);
     - kept ascent, s_i: (a, b) becomes (b, -a).
+
+    The running product is sparse: a column maps the rows where it is
+    nonzero to their entries, and an entry maps exponents to ``int``
+    coefficients (every factor has integer entries).  Each ``Poly``
+    entry is built once, from the finished columns.
     """
     cls = classify(mask)
     if not cls.distinguished:
@@ -178,17 +200,22 @@ def cell_matrix(mask: SubexpressionMask) -> CellMatrix:
     p_positions = tuple(sorted(cls.j_free))
     m_positions = tuple(sorted(cls.j_down))
     nvars = len(p_positions) + len(m_positions)
-    var = {pos: Poly.var(nvars, k) for k, pos in enumerate(p_positions + m_positions)}
-    cols = [list(c) for c in zip(*identity_matrix(mask.n, nvars))]
+    var = {pos: tuple(int(j == k) for j in range(nvars))
+           for k, pos in enumerate(p_positions + m_positions)}
+    one = (0,) * nvars  # the exponent of the monomial 1
+    cols: list[_Column] = [{j: {one: 1}} for j in range(mask.n)]
     for pos, i in enumerate(mask.letters, start=1):
         a, b = cols[i - 1], cols[i]
         if pos in cls.j_free:
-            cols[i - 1] = [x + y * var[pos] for x, y in zip(a, b)]
+            cols[i - 1] = _add_column(a, _times(b, var[pos], 1))
         elif pos in cls.j_down:
-            cols[i - 1], cols[i] = [x * var[pos] + y for x, y in zip(a, b)], [-x for x in a]
+            cols[i - 1], cols[i] = _add_column(_times(a, var[pos], 1), b), _times(a, one, -1)
         else:
-            cols[i - 1], cols[i] = b, [-x for x in a]
-    return CellMatrix(tuple(zip(*cols)), mask.n, p_positions, m_positions)
+            cols[i - 1], cols[i] = b, _times(a, one, -1)
+    zero = Poly.zero(nvars)
+    mat = tuple(tuple(Poly(nvars, col[row]) if row in col else zero for col in cols)
+                for row in range(mask.n))
+    return CellMatrix(mat, mask.n, p_positions, m_positions)
 
 
 @lru_cache(maxsize=256)

@@ -12,6 +12,14 @@ overlap ambiguity joins.  Pairs with coprime left-hand sides need no
 check (Buchberger's first criterion, ibid., Proposition 4).  The
 exhaustive search over every reduction strategy in low degrees is kept
 to list the monomials that fail when an ambiguity does not join.
+
+``reduce_poly`` (the division algorithm, ibid., section 2.3) and
+``all_normal_forms`` (the strategy search) run on integer coefficients
+inside, as ``pluecker.straighten`` does: a rule coefficient is an ``int``
+where it is integral, the input of ``reduce_poly`` is scaled by the lcm
+of its denominators, and the coefficients they return are ``Fraction``s
+again.  A rational rule coefficient brings ``Fraction``s into the loop,
+which the mixed arithmetic keeps exact.
 """
 
 from __future__ import annotations
@@ -19,7 +27,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, combinations_with_replacement
+from math import lcm
+from operator import add, le, neg, sub
 
 from . import g37
 from .symbolic import add_into
@@ -42,10 +53,6 @@ def mono_div(a: Mono, b: Mono) -> Mono:
 
 def grlex_key(m: Mono) -> tuple:
     return (sum(m), m)
-
-
-def poly_key(p: PolyY) -> tuple:
-    return tuple(sorted((m, c) for m, c in p.items()))
 
 
 @dataclass(frozen=True)
@@ -103,19 +110,58 @@ def apply_rule(p: PolyY, mono: Mono, rule_idx: int, system: RewriteSystem) -> Po
     return add_into(out, ((mono_mul(cof, m), coeff * c) for m, c in rhs))
 
 
+def _integral(c: Fraction) -> int | Fraction:
+    """c as an ``int`` when it is integral, else c."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _int_rules(system: RewriteSystem) -> list[tuple[Mono, tuple]]:
+    """The rules with every integral right-hand coefficient as an ``int``."""
+    return [(lhs, tuple((m, _integral(c)) for m, c in rhs)) for lhs, rhs in system.rules]
+
+
 def reduce_poly(p: PolyY, system: RewriteSystem) -> PolyY:
-    """Normal form, reducing the largest reducible monomial first."""
-    cur = dict(p)
-    while True:
-        target = None
-        for mono in sorted(cur, key=grlex_key, reverse=True):
-            idx = find_rule(mono, system)
-            if idx is not None:
-                target = (mono, idx)
+    """Normal form, reducing the largest reducible monomial first.
+
+    Polynomial division with the monomials in a max-heap keyed by grlex,
+    the loop of ``pluecker.straighten``.  A monomial is pushed when it
+    enters ``pending``; a popped monomial that has since cancelled is
+    skipped.  A popped monomial that no left-hand side divides is
+    finished: every later term is below it, so it never changes again.
+    Otherwise the first rule, in index order, whose left-hand side
+    divides it is applied (``find_rule``'s choice), so a system that is
+    not confluent gives the normal form that rewriting the largest
+    reducible monomial first reaches.  The coefficients are integers
+    scaled by the lcm D of the input's denominators, and the result maps
+    each finished monomial, in descending grlex order, to v/D as a
+    ``Fraction``.
+    """
+    rules = _int_rules(system)
+    denom = 1
+    for c in p.values():
+        denom = lcm(denom, c.denominator)
+    pending = {m: c.numerator * (denom // c.denominator) for m, c in p.items() if c}
+    heap = [(-sum(m), tuple(map(neg, m)), m) for m in pending]
+    heapify(heap)
+    done: PolyY = {}
+    while heap:
+        mono = heappop(heap)[2]
+        coeff = pending.pop(mono, None)
+        if coeff is None:
+            continue
+        for lhs, rhs in rules:
+            if all(map(le, lhs, mono)):
                 break
-        if target is None:
-            return cur
-        cur = apply_rule(cur, target[0], target[1], system)
+        else:
+            done[mono] = Fraction(coeff, denom)
+            continue
+        cof = tuple(map(sub, mono, lhs))
+        terms = [(tuple(map(add, cof, m)), coeff * c) for m, c in rhs]
+        for m, _ in terms:
+            if m not in pending:
+                heappush(heap, (-sum(m), tuple(map(neg, m)), m))
+        add_into(pending, terms)
+    return done
 
 
 def reduce_monomial(m: Mono, system: RewriteSystem) -> PolyY:
@@ -134,33 +180,52 @@ def ambiguities(system: RewriteSystem) -> list[tuple[Mono, int, int]]:
             lj = system.rules[j][0]
             gcd = tuple(min(a, b) for a, b in zip(li, lj))
             if any(gcd):
-                lcm = tuple(max(a, b) for a, b in zip(li, lj))
-                out.append((lcm, i, j))
+                overlap = tuple(max(a, b) for a, b in zip(li, lj))
+                out.append((overlap, i, j))
     return out
 
 
 def all_normal_forms(p: PolyY, system: RewriteSystem,
                      memo: dict | None = None) -> set:
-    """Keys of every normal form reachable by any reduction strategy."""
+    """Keys of every normal form reachable by any reduction strategy.
+
+    A key is a polynomial's (monomial, coefficient) pairs as a sorted
+    tuple, with ``Fraction`` coefficients.  The search (``_normal_forms``)
+    runs on integral coefficients as ``int``s and on a table, built for
+    this call, from each monomial it meets to its one-step rewrites: the
+    right-hand side times the cofactor, for every rule whose left-hand
+    side divides the monomial.  ``memo`` maps each key already searched
+    to its normal forms; pass one dict to several calls to share it.
+    """
     if memo is None:
         memo = {}
-    key = poly_key(p)
-    if key in memo:
-        return memo[key]
-    memo[key] = set()  # cycle guard; rewriting strictly decreases, so unused
-    reducts = []
-    for mono in sorted(p, key=grlex_key, reverse=True):
-        for idx in range(len(system.rules)):
-            if mono_divides(system.rules[idx][0], mono):
-                reducts.append(apply_rule(p, mono, idx, system))
-    if not reducts:
-        result = {key}
-    else:
-        result = set()
-        for q in reducts:
-            result |= all_normal_forms(q, system, memo)
-    memo[key] = result
-    return result
+    key = tuple(sorted((m, _integral(c)) for m, c in p.items()))
+    forms = _normal_forms(key, _int_rules(system), {}, memo)
+    return {tuple([(m, Fraction(c)) for m, c in form]) for form in forms}
+
+
+def _normal_forms(key: tuple, rules: list, table: dict, memo: dict) -> set:
+    """Normal-form keys of the polynomial with this key, int coefficients."""
+    forms = memo.get(key)
+    if forms is not None:
+        return forms
+    forms = set()
+    for i, (mono, coeff) in enumerate(key):
+        rewrites = table.get(mono)
+        if rewrites is None:
+            rewrites = table[mono] = []
+            for lhs, rhs in rules:
+                if all(map(le, lhs, mono)):
+                    cof = tuple(map(sub, mono, lhs))
+                    rewrites.append([(tuple(map(add, cof, m)), c) for m, c in rhs])
+        rest = key[:i] + key[i + 1:]
+        for terms in rewrites:
+            reduct = add_into(dict(rest), ((m, coeff * c) for m, c in terms))
+            forms |= _normal_forms(tuple(sorted(reduct.items())), rules, table, memo)
+    if not forms:  # no monomial is reducible: the polynomial is its own normal form
+        forms.add(key)
+    memo[key] = forms
+    return forms
 
 
 def _exhaustive_failures(system: RewriteSystem, through_degree: int) -> list[dict]:
@@ -190,17 +255,21 @@ def check_confluence(system: RewriteSystem, through_degree: int = 4) -> dict:
     gives ``exhaustive_ok`` with no failures without searching.  When an
     ambiguity fails, every reduction strategy of every monomial of degree
     2..through_degree is searched to list the monomials with more than
-    one normal form.
+    one normal form.  A through_degree below 2 would search no degree and
+    raises ValueError.
     """
+    if through_degree < 2:
+        raise ValueError(f"max degree {through_degree} is below 2: the exhaustive "
+                         f"search covers the degrees from 2 to the max degree")
     amb_reports = []
     ok = True
-    for lcm, i, j in ambiguities(system):
-        via_i = reduce_poly(apply_rule({lcm: Fraction(1)}, lcm, i, system), system)
-        via_j = reduce_poly(apply_rule({lcm: Fraction(1)}, lcm, j, system), system)
-        joined = poly_key(via_i) == poly_key(via_j)
+    for overlap, i, j in ambiguities(system):
+        via_i = reduce_poly(apply_rule({overlap: Fraction(1)}, overlap, i, system), system)
+        via_j = reduce_poly(apply_rule({overlap: Fraction(1)}, overlap, j, system), system)
+        joined = via_i == via_j
         ok &= joined
         amb_reports.append({
-            "monomial": lcm,
+            "monomial": overlap,
             "rules": (i, j),
             "joined": joined,
             "normal_form": via_i if joined else None,
@@ -255,9 +324,9 @@ def scroll_matrix_check(system: RewriteSystem) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# text rule format: "Y1*Y5 -> Y3^2 - Y3*Y7"
+# text rule format: "Y1*Y5 -> Y3^2 - Y3*Y7", coefficients as "1/2*Y4^2" or "2 Y4"
 
-_TERM_RE = re.compile(r"\s*([+-])?\s*(\d+/\d+|\d+)?\s*((?:Y\d+(?:\^\d+)?(?:\s*\*\s*)?)+)")
+_TERM_RE = re.compile(r"\s*([+-])?\s*(?:(\d+/\d+|\d+)\s*\*?)?\s*((?:Y\d+(?:\^\d+)?(?:\s*\*\s*)?)+)")
 _FACTOR_RE = re.compile(r"Y(\d+)(?:\^(\d+))?")
 
 

@@ -181,11 +181,6 @@ class Poly(SparsePoly):
 PolyMatrix = tuple[tuple[Poly, ...], ...]
 
 
-def identity_matrix(n: int, nvars: int) -> PolyMatrix:
-    return tuple(tuple(Poly.const(nvars, 1 if i == j else 0) for j in range(n))
-                 for i in range(n))
-
-
 def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     n = len(a)
     out = []

@@ -234,6 +234,8 @@ def test_non_confluent_rules_fail_with_exit_one(tmp_path, capsys):
     ("acceptance", "--only", "13"),
     ("invariants", "--r", "2", "--n", "5", "--m", "1", "--w", "9,9"),
     ("invariants", "--r", "2", "--n", "5", "--m", "1", "--w", "5,4"),
+    ("confluence", "--max-degree", "1"),
+    ("confluence", "--max-degree", "0"),
 ])
 def test_invalid_input_is_a_one_line_usage_error(capsys, argv):
     code = main([*argv, "--json"])

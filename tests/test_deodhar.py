@@ -9,7 +9,7 @@ from grassquot.deodhar import (NotBelowError, SubexpressionMask, W37_WORD,
                                cell_matrix, classify, descent_probe,
                                enumerate_distinguished, find_pds, lowered_v,
                                quotient_probe, restrict_section)
-from grassquot.symbolic import Poly, identity_matrix, mat_det, mat_mul
+from grassquot.symbolic import Poly, mat_det, mat_mul
 from grassquot.tableaux import Tableau
 from grassquot.weyl import (ColumnTuple, canonical_word, identity_perm,
                             minimal_richardson_v, minimal_schubert, perm_inv,
@@ -132,6 +132,11 @@ def test_cell_matrix_determinants_are_units():
         cell = cell_matrix(mask)
         det = mat_det(cell.mat)
         assert det in (Poly.const(cell.nvars, 1), Poly.const(cell.nvars, -1))
+
+
+def identity_matrix(n, nvars):
+    return tuple(tuple(Poly.const(nvars, 1 if i == j else 0) for j in range(n))
+                 for i in range(n))
 
 
 def _factor_product(mask):

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassquot.rewriting import (_exhaustive_failures, ambiguities,
-                                 check_confluence, format_mono, format_poly,
+from grassquot.rewriting import (_exhaustive_failures, all_normal_forms,
+                                 ambiguities, apply_rule, check_confluence,
+                                 find_rule, format_mono, format_poly,
                                  g37_rules, grlex_key, make_system,
                                  normal_form_count, parse_rules,
                                  reduce_monomial, reduce_poly,
@@ -24,6 +26,92 @@ Y2*Y5 -> Y3*Y4 - Y3*Y7
 Y2*Y6 -> Y4^2 - Y4*Y7
 Y3*Y6 -> Y4^2
 """
+
+# g37 with Y3*Y6 -> Y4*Y5 replaced by Y3*Y6 -> 1/2*Y4*Y5: not confluent, and
+# rational.  (A two-term right side such as 1/2*Y4^2 + 1/2*Y4*Y5 is rational
+# too, but its strategy search makes 273,506 calls through degree 4.)
+RATIONAL_RULES = NEGATIVE_RULES.replace("Y3*Y6 -> Y4^2", "Y3*Y6 -> 1/2*Y4*Y5")
+
+RULE_SETS = {"g37": SYSTEM,
+             "negative": parse_rules(NEGATIVE_RULES, 7),
+             "rational": parse_rules(RATIONAL_RULES, 7)}
+
+
+# -- slow oracles: rewriting by whole-polynomial steps on Fraction keys ------
+
+def _poly_key(p):
+    return tuple(sorted((m, c) for m, c in p.items()))
+
+
+def _reduce_oracle(p, system):
+    """Re-sort the polynomial after every step and reduce its largest
+    reducible monomial by the first rule that divides it."""
+    cur = dict(p)
+    while True:
+        for mono in sorted(cur, key=grlex_key, reverse=True):
+            idx = find_rule(mono, system)
+            if idx is not None:
+                cur = apply_rule(cur, mono, idx, system)
+                break
+        else:
+            return cur
+
+
+def _all_normal_forms_oracle(p, system, memo):
+    key = _poly_key(p)
+    if key not in memo:
+        reducts = [apply_rule(p, mono, idx, system)
+                   for mono in p for idx, (lhs, _) in enumerate(system.rules)
+                   if all(a <= b for a, b in zip(lhs, mono))]
+        memo[key] = (set().union(*(_all_normal_forms_oracle(q, system, memo) for q in reducts))
+                     if reducts else {key})
+    return memo[key]
+
+
+def _exhaustive_oracle(system, through_degree):
+    memo = {}
+    failures = []
+    for deg in range(2, through_degree + 1):
+        for mono in combinations_with_replacement(range(1, system.k + 1), deg):
+            m = y_mono(system.k, *mono)
+            forms = _all_normal_forms_oracle({m: Fraction(1)}, system, memo)
+            if len(forms) != 1:
+                failures.append({"monomial": m, "normal_forms": sorted(forms)})
+    return failures
+
+
+def _random_poly(rng, k, degree, terms):
+    poly = {}
+    for _ in range(terms):
+        e = [0] * k
+        for _ in range(degree):
+            e[rng.randrange(k)] += 1
+        poly[tuple(e)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+    return poly
+
+
+@pytest.mark.parametrize("name", sorted(RULE_SETS))
+def test_reduce_poly_matches_the_sort_and_scan_oracle(name):
+    system = RULE_SETS[name]
+    rng = random.Random(f"reduce/{name}")
+    for _ in range(200):
+        p = _random_poly(rng, system.k, rng.randint(2, 9), rng.randint(1, 6))
+        got = reduce_poly(p, system)
+        assert got == _reduce_oracle(p, system), p
+        assert all(type(c) is Fraction for c in got.values())
+        keys = [grlex_key(m) for m in got]
+        assert keys == sorted(keys, reverse=True)
+
+
+@pytest.mark.parametrize("name", sorted(RULE_SETS))
+def test_exhaustive_failures_match_the_fraction_keyed_oracle(name):
+    system = RULE_SETS[name]
+    failures = _exhaustive_failures(system, 4)
+    assert failures == _exhaustive_oracle(system, 4)
+    assert (name == "g37") == (failures == [])
+    for failure in failures:
+        for form in failure["normal_forms"]:
+            assert all(type(c) is Fraction for _m, c in form)
 
 
 def test_rules_oriented_downhill():
@@ -120,6 +208,7 @@ def test_joined_ambiguities_leave_no_exhaustive_failure(system):
     # strategy of any monomial reaches a second normal form
     rep = check_confluence(system, through_degree=3)
     failures = _exhaustive_failures(system, 3)
+    assert failures == _exhaustive_oracle(system, 3)
     assert rep["exhaustive_failures"] == failures
     if all(a["joined"] for a in rep["ambiguities"]):
         assert failures == []
@@ -183,7 +272,23 @@ def test_parse_rejects_non_monic_lhs():
 
 
 def test_reduction_strategy_independence_spot_check():
-    from grassquot.rewriting import all_normal_forms
-
     forms = all_normal_forms({y_mono(7, 1, 2, 5, 6): Fraction(1)}, SYSTEM)
     assert len(forms) == 1
+
+
+def test_max_degree_below_two_is_rejected():
+    for system in RULE_SETS.values():
+        for degree in (0, 1):
+            with pytest.raises(ValueError, match="below 2"):
+                check_confluence(system, degree)
+
+
+def test_rule_text_reads_the_coefficients_format_poly_writes():
+    system = parse_rules(RATIONAL_RULES, 7)
+    assert dict(system.rules[-1][1]) == {y_mono(7, 4, 5): Fraction(1, 2)}
+    two_terms = parse_rules("Y3*Y6 -> 1/2*Y4^2 + 1/2*Y4*Y5", 7)
+    assert dict(two_terms.rules[0][1]) == {y_mono(7, 4, 4): Fraction(1, 2),
+                                           y_mono(7, 4, 5): Fraction(1, 2)}
+    text = "\n".join(f"{format_mono(lhs)} -> {format_poly(dict(rhs))}"
+                     for lhs, rhs in system.rules)
+    assert parse_rules(text, 7) == system

@@ -6,19 +6,29 @@ Runs every command below in this process through ``grassquot.cli.main``
 and prints one line per command: the sha256 of its stdout and stderr,
 its exit code and its argv.  Run it once per checkout, with that
 checkout's ``src`` on PYTHONPATH, and diff the two outputs: equal lines
-mean byte-identical reports and equal exit codes.
+mean byte-identical reports and equal exit codes.  The commands run in a
+fresh temporary directory that holds the benchmark's non-confluent rule
+file (``NEGATIVE_RULES`` of ``bench/workloads.py``), named by the same
+relative path in every checkout, since the confluence report quotes it.
 """
 
 import contextlib
 import hashlib
 import io
+import os
 import sys
+import tempfile
+from pathlib import Path
 
-from grassquot import cli
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from grassquot import cli  # noqa: E402
+from workloads import NEGATIVE_RULES  # noqa: E402
 
 G2N_FAMILIES = ((5, 2), (5, 3), (5, 4), (5, 5), (5, 6), (5, 7), (5, 8), (7, 2), (7, 3))
 PROBES = ("s2s4s3", "s2s3", "s4s3", "s3")
 
+NEGATIVE = "g37_negative.rules"
 INVARIANTS = ["invariants", "--r", "3", "--n", "7", "--m", "2", "--w", "3,5,7", "--v", "1,2,3"]
 
 # Every subcommand appears at least once; acceptance and verify-relations
@@ -32,6 +42,7 @@ COMMANDS = (
        ["verify-relations", "--json"],
        ["verify-relations"],
        ["confluence", "--rules", "g37", "--max-degree", "4", "--json"],
+       ["confluence", "--rules", NEGATIVE, "--max-degree", "4", "--json"],
        ["minimal-schubert", "--r", "3", "--n", "7", "--json"],
        ["gamma", "--r", "3", "--n", "8", "--json"],
        INVARIANTS + ["--json"],
@@ -42,7 +53,8 @@ COMMANDS = (
     # input errors, which exit 2
     + [["acceptance", "--only", "13"],
        ["invariants", "--r", "2", "--n", "5", "--m", "1", "--w", "5,4", "--json"],
-       ["projnorm", "--n", "5", "--m", "0", "--json"]]
+       ["projnorm", "--n", "5", "--m", "0", "--json"],
+       ["confluence", "--rules", NEGATIVE, "--max-degree", "1", "--json"]]
 )
 
 
@@ -57,9 +69,16 @@ def digest(argv: list[str]) -> tuple[str, int]:
 
 def main() -> int:
     print(f"# grassquot from {cli.__file__}", file=sys.stderr)
-    for argv in COMMANDS:
-        sha, code = digest(argv)
-        print(sha, code, " ".join(argv), flush=True)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path(NEGATIVE).write_text(NEGATIVE_RULES)
+            for argv in COMMANDS:
+                sha, code = digest(argv)
+                print(sha, code, " ".join(argv), flush=True)
+        finally:
+            os.chdir(home)
     return 0
 
 
