@@ -17,7 +17,7 @@ from functools import lru_cache
 from operator import add
 
 from . import g37
-from .symbolic import Poly, PolyMatrix, add_into, sparse_rank, submatrix_det
+from .symbolic import Poly, PolyMatrix, add_into, sparse_rank
 from .tableaux import LemmaViolation, Tableau, enumerate_invariants
 from .weyl import (ColumnTuple, Perm, canonical_word, gamma_tableau,
                    identity_perm, is_reduced, minimal_richardson_v,
@@ -161,7 +161,8 @@ class CellMatrix:
         return tuple(tuple(e.subs(values) for e in row) for row in self.mat)
 
 
-_Column = dict[int, dict[tuple[int, ...], int]]   # row -> exponent -> coefficient
+_Entry = dict[tuple[int, ...], int]   # exponent -> coefficient
+_Column = dict[int, _Entry]           # row -> entry
 
 
 def _times(col: _Column, e: tuple[int, ...], sign: int) -> _Column:
@@ -178,10 +179,12 @@ def _add_column(target: _Column, col: _Column) -> _Column:
     return target
 
 
-def cell_matrix(mask: SubexpressionMask) -> CellMatrix:
-    """Ordered product of the per-letter factors of a distinguished mask.
+def _cell_columns(mask: SubexpressionMask) -> tuple[list[_Column], tuple[int, ...], tuple[int, ...]]:
+    """The columns of the cell matrix of a distinguished mask, with its
+    p-positions and m-positions.
 
-    Each factor differs from the identity only in its (i, i+1) block, so
+    The matrix is the ordered product of the per-letter factors.  Each
+    factor differs from the identity only in its (i, i+1) block, so
     right-multiplying by it rewrites columns a = i and b = i+1 of the
     running product and nothing else:
 
@@ -191,8 +194,7 @@ def cell_matrix(mask: SubexpressionMask) -> CellMatrix:
 
     The running product is sparse: a column maps the rows where it is
     nonzero to their entries, and an entry maps exponents to ``int``
-    coefficients (every factor has integer entries).  Each ``Poly``
-    entry is built once, from the finished columns.
+    coefficients (every factor has integer entries).
     """
     cls = classify(mask)
     if not cls.distinguished:
@@ -212,6 +214,14 @@ def cell_matrix(mask: SubexpressionMask) -> CellMatrix:
             cols[i - 1], cols[i] = _add_column(_times(a, var[pos], 1), b), _times(a, one, -1)
         else:
             cols[i - 1], cols[i] = b, _times(a, one, -1)
+    return cols, p_positions, m_positions
+
+
+def cell_matrix(mask: SubexpressionMask) -> CellMatrix:
+    """The cell matrix of a distinguished mask (``_cell_columns``) with
+    ``Poly`` entries, each built once from the finished columns."""
+    cols, p_positions, m_positions = _cell_columns(mask)
+    nvars = len(p_positions) + len(m_positions)
     zero = Poly.zero(nvars)
     mat = tuple(tuple(Poly(nvars, col[row]) if row in col else zero for col in cols)
                 for row in range(mask.n))
@@ -219,29 +229,58 @@ def cell_matrix(mask: SubexpressionMask) -> CellMatrix:
 
 
 @lru_cache(maxsize=256)
-def _cached_cell(letters: tuple[int, ...], keep: tuple[bool, ...], n: int) -> CellMatrix:
-    return cell_matrix(SubexpressionMask(letters, keep, n))
+def _cached_cell(letters: tuple[int, ...], keep: tuple[bool, ...],
+                 n: int) -> tuple[tuple[_Column, ...], int]:
+    """The sparse integer columns of a cell matrix (``_cell_columns``) and
+    its number of parameters.  Shared by every caller: read, never write."""
+    cols, p_positions, m_positions = _cell_columns(SubexpressionMask(letters, keep, n))
+    return tuple(cols), len(p_positions) + len(m_positions)
+
+
+def _product_terms(f: _Entry, g: _Entry, sign: int):
+    """The terms of sign * f * g, one per pair of terms, for ``add_into``."""
+    return ((tuple(map(add, x, y)), sign * a * b) for x, a in f.items() for y, b in g.items())
+
+
+def _minor(cols: tuple[_Column, ...], r: int, rows: tuple[int, ...],
+           minors: dict[tuple[int, ...], _Entry]) -> _Entry:
+    """The minor on the increasing 0-based rows and the last len(rows) of
+    the first r columns, by Laplace expansion down the first of those
+    columns.  ``minors`` maps rows to their minor and starts as {(): 1}."""
+    d = minors.get(rows)
+    if d is None:
+        col = cols[r - len(rows)]
+        d = {}
+        for k, i in enumerate(rows):
+            entry = col.get(i)
+            if entry is not None:
+                sub = _minor(cols, r, rows[:k] + rows[k + 1:], minors)
+                add_into(d, _product_terms(entry, sub, -1 if k % 2 else 1))
+        minors[rows] = d
+    return d
 
 
 def restrict_section(t: Tableau, mask: SubexpressionMask) -> Poly:
     """Evaluate the standard monomial of t on the cell matrix of the mask.
 
-    Each column becomes the minor on those rows and the first r columns;
-    the result is a polynomial in the cell parameters.
+    Each column of t becomes the r x r minor on those rows and the first
+    r columns of the cell matrix; the result is their product, a
+    polynomial in the cell parameters.  The minors are taken on the
+    cached integer columns (``_cached_cell``), memoised by their rows for
+    this call, and multiplied as ``int`` polynomials; a zero minor ends
+    the call, and one ``Poly`` is built from the finished product.
     """
     if t.n != mask.n:
         raise ValueError(f"tableau on [1,{t.n}] does not match a rank-{mask.n} cell")
-    cell = _cached_cell(mask.letters, mask.keep, mask.n)
-    r = t.r
-    cols = tuple(range(r))
-    acc = Poly.const(cell.mat[0][0].nvars, 1)
+    cols, nvars = _cached_cell(mask.letters, mask.keep, mask.n)
+    minors: dict[tuple[int, ...], _Entry] = {(): {(0,) * nvars: 1}}
+    acc = minors[()]
     for col in t.columns():
-        rows = tuple(i - 1 for i in col)
-        d = submatrix_det(cell.mat, rows, cols)
-        if d.is_zero():
-            return d
-        acc = acc * d
-    return acc
+        d = _minor(cols, t.r, tuple(i - 1 for i in col), minors)
+        if not d:
+            return Poly.zero(nvars)
+        acc = add_into({}, _product_terms(acc, d, 1))
+    return Poly(nvars, acc)
 
 
 # ---------------------------------------------------------------------------

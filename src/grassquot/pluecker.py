@@ -83,6 +83,10 @@ def _leq_cols(a: Column, b: Column) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _entries(bound: ColumnTuple | tuple) -> Column:
+    return bound.entries if isinstance(bound, ColumnTuple) else tuple(bound)
+
+
 def _first_violation(mono: Monomial) -> int | None:
     """Index i of the first adjacent pair that is not componentwise ordered."""
     for i in range(len(mono) - 1):
@@ -183,13 +187,28 @@ class _Codec:
                 (sign, code[x], code[y]) for sign, x, y in _exchange_terms(cols[a], cols[b]))
         return terms
 
+    def interval(self, w: ColumnTuple | tuple, v: ColumnTuple | tuple) -> frozenset[int]:
+        """The codes of the columns in the Bruhat interval [v, w]."""
+        we, ve = _entries(w), _entries(v)
+        return frozenset(k for k, col in enumerate(self.columns)
+                         if _leq_cols(ve, col) and _leq_cols(col, we))
+
+    def exchange_within(self, inside: frozenset[int]):
+        """``exchange`` without the terms that have a code outside ``inside``."""
+        exchange = self.exchange
+
+        def filtered(a: int, b: int) -> list[tuple[int, int, int]]:
+            return [t for t in exchange(a, b) if t[1] in inside and t[2] in inside]
+
+        return filtered
+
 
 @lru_cache(maxsize=16)
 def _codec(r: int, n: int) -> _Codec:
     return _Codec(r, n)
 
 
-def straighten(p: PlueckerPoly) -> PlueckerPoly:
+def straighten(p: PlueckerPoly, within: tuple | None = None) -> PlueckerPoly:
     """Rewrite p onto the standard monomial basis.
 
     Processes the largest pending monomial first; every exchange replaces
@@ -208,6 +227,18 @@ def straighten(p: PlueckerPoly) -> PlueckerPoly:
     result lists its terms in the order they were finished, which is
     descending monomial order.  A column that is not an increasing
     r-subset of [n] raises ValueError naming the column and the ring.
+
+    ``within=(w, v)`` straightens modulo the ideal of the Richardson
+    variety X_w^v and returns ``restrict_schubert(straighten(p), w, v)``,
+    with the same terms in the same order, without building the terms
+    that restriction drops.  Input terms and exchange terms with a column
+    outside the Bruhat interval [v, w] are dropped as soon as they
+    appear.  This is exact: straightening is linear, and by standard
+    monomial theory (Lakshmibai-Littelmann) the standard monomials with a
+    column outside [v, w] form a basis of the ideal that the p_tau with
+    tau outside [v, w] generate, so a monomial with such a column
+    straightens onto those standard monomials alone, all of which the
+    restriction drops.
     """
     codec = _codec(p.r, p.n)
     comparable, exchange = codec.comparable, codec.exchange
@@ -217,6 +248,10 @@ def straighten(p: PlueckerPoly) -> PlueckerPoly:
     pending: dict[tuple[int, ...], int] = {}
     for mono, c in p.terms.items():
         pending[codec.encode(mono)] = c.numerator * (denom // c.denominator)
+    if within is not None:
+        inside = codec.interval(*within)
+        pending = {m: c for m, c in pending.items() if inside.issuperset(m)}
+        exchange = codec.exchange_within(inside)
     heap = [(tuple(map(invert, m)) + (0,), m) for m in pending]
     heapify(heap)
     done: dict[Monomial, Fraction] = {}
@@ -250,8 +285,7 @@ def restrict_schubert(p: PlueckerPoly, w: ColumnTuple | tuple,
     Valid on straightened input: the surviving standard monomials form a
     basis of the coordinate ring of the Richardson variety.
     """
-    we = w.entries if isinstance(w, ColumnTuple) else tuple(w)
-    ve = v.entries if isinstance(v, ColumnTuple) else tuple(v)
+    we, ve = _entries(w), _entries(v)
     out = {m: c for m, c in p.terms.items()
            if all(_leq_cols(col, we) and _leq_cols(ve, col) for col in m)}
     return PlueckerPoly(p.r, p.n, out)
@@ -263,8 +297,11 @@ def verify_relation(lhs: list[Tableau],
                     restricted: bool = True) -> tuple[bool, PlueckerPoly]:
     """Check prod(lhs) = sum of signed prod(rhs) modulo the Schubert restriction.
 
-    Returns (holds, residue); the residue is the straightened (and, when
-    requested, restricted) difference, kept for diagnostics.
+    Returns (holds, residue); the residue is the straightened difference,
+    kept for diagnostics.  When ``restricted``, it is straightened modulo
+    the ideal of the Richardson variety, ``straighten(..., within=(w, v))``,
+    which equals the restriction of the full straightening but never builds
+    the terms outside [v, w]; otherwise it is the full straightening.
     """
     poly = tableau_to_poly(lhs[0])
     for t in lhs[1:]:
@@ -274,9 +311,7 @@ def verify_relation(lhs: list[Tableau],
         for t in tabs[1:]:
             term = term * tableau_to_poly(t)
         poly = poly - term.scale(sign)
-    residue = straighten(poly)
-    if restricted:
-        residue = restrict_schubert(residue, w, v)
+    residue = straighten(poly, within=(w, v) if restricted else None)
     return residue.is_zero(), residue
 
 

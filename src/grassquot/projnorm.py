@@ -464,10 +464,12 @@ def surjectivity_oracle(n: int, m: int,
 def family_check(n: int, m: int, sample: int | None = None, seed: int = 1729) -> dict:
     """Run every structural lemma and the repair contract over one family.
 
-    ``sample`` caps how many tableaux are processed (random but seeded);
-    every processed factorization is multiplied back out and compared with
-    the input.
+    ``sample`` caps how many tableaux are processed (random but seeded)
+    and must be at least 1; every processed factorization is multiplied
+    back out and compared with the input.
     """
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1, got {sample}")
     tabs = enumerate_invariants(2, n, m, (n - 1, n), (1, 2))
     total = len(tabs)
     rng = random.Random(seed)

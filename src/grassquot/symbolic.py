@@ -222,11 +222,6 @@ def mat_det(m) -> Poly:
     return det_for(tuple(range(n)))
 
 
-def submatrix_det(m, rows: tuple[int, ...], cols: tuple[int, ...]) -> Poly:
-    sub = [[m[i][j] for j in cols] for i in rows]
-    return mat_det(sub)
-
-
 # -- exact rank ----------------------------------------------------------------
 
 def sparse_rank(rows: Iterable[Mapping], ncols: int | None = None) -> int:

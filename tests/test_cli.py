@@ -230,6 +230,7 @@ def test_non_confluent_rules_fail_with_exit_one(tmp_path, capsys):
     ("minimal-schubert", "--r", "2", "--n", "4"),
     ("invariants", "--r", "3", "--n", "2", "--m", "1"),
     ("projnorm", "--n", "4", "--m", "2", "--oracle"),
+    ("projnorm", "--n", "5", "--m", "2", "--sample", "0"),
     ("deodhar",),
     ("acceptance", "--only", "13"),
     ("invariants", "--r", "2", "--n", "5", "--m", "1", "--w", "9,9"),

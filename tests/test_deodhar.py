@@ -10,7 +10,7 @@ from grassquot.deodhar import (NotBelowError, SubexpressionMask, W37_WORD,
                                enumerate_distinguished, find_pds, lowered_v,
                                quotient_probe, restrict_section)
 from grassquot.symbolic import Poly, mat_det, mat_mul
-from grassquot.tableaux import Tableau
+from grassquot.tableaux import Tableau, enumerate_invariants
 from grassquot.weyl import (ColumnTuple, canonical_word, identity_perm,
                             minimal_richardson_v, minimal_schubert, perm_inv,
                             perm_length, perm_mul, reduced_word_of,
@@ -160,11 +160,15 @@ def _factor_product(mask):
     return acc
 
 
-@pytest.mark.parametrize("word, n, count", [(W37_WORD, N, 404), ((1, 2, 1), 3, 7)])
-def test_cell_matrix_equals_product_of_factors(word, n, count):
+def _distinguished_masks(word, n):
     masks = [SubexpressionMask(word, keep, n)
              for keep in product([False, True], repeat=len(word))]
-    masks = [m for m in masks if classify(m).distinguished]
+    return [m for m in masks if classify(m).distinguished]
+
+
+@pytest.mark.parametrize("word, n, count", [(W37_WORD, N, 404), ((1, 2, 1), 3, 7)])
+def test_cell_matrix_equals_product_of_factors(word, n, count):
+    masks = _distinguished_masks(word, n)
     assert len(masks) == count
     assert any(classify(m).j_down for m in masks)
     for mask in masks:
@@ -173,6 +177,53 @@ def test_cell_matrix_equals_product_of_factors(word, n, count):
         assert cell.p_positions == tuple(sorted(cls.j_free))
         assert cell.m_positions == tuple(sorted(cls.j_down))
         assert cell.mat == _factor_product(mask)
+
+
+def _minor_product_section(t, cell):
+    """Oracle: the product over the columns of t of the ``mat_det`` of the
+    ``Poly`` submatrix of the cell matrix on those rows and its first r
+    columns."""
+    acc = Poly.const(cell.nvars, 1)
+    for col in t.columns():
+        acc = acc * mat_det([[cell.mat[i - 1][j] for j in range(t.r)] for i in col])
+    return acc
+
+
+@pytest.mark.parametrize("word, n, tableaux, count, nonzero", [
+    (W37_WORD, N, [g37.Y[i] for i in range(1, 8)] + [g37.Z20], 404, 103),
+    # the canonical word of w = (4, 7) in G(2, 7), with its degree-1 and
+    # degree-2 invariants
+    ((3, 2, 1, 6, 5, 4, 3, 2), 7,
+     enumerate_invariants(2, 7, 1, (4, 7), (1, 2))
+     + enumerate_invariants(2, 7, 2, (4, 7), (1, 2)), 220, 48),
+])
+def test_restrict_section_equals_minor_product_oracle(word, n, tableaux, count, nonzero):
+    masks = _distinguished_masks(word, n)
+    assert len(masks) == count
+    seen = 0
+    for mask in masks:
+        cell = cell_matrix(mask)
+        for t in tableaux:
+            got = restrict_section(t, mask)
+            assert got == _minor_product_section(t, cell), (t.rows, mask.keep)
+            assert all(type(c) is Fraction for c in got.terms.values())
+            seen += not got.is_zero()
+    assert seen == nonzero
+
+
+def test_restrict_section_on_the_all_keep_cell_equals_the_oracle():
+    # no parameters: every section is a constant, the signed minor of the
+    # permutation matrix of w on each single column
+    allkeep = SubexpressionMask(W37_WORD, (True,) * 9, N)
+    cell = cell_matrix(allkeep)
+    assert cell.nvars == 0
+    units = 0
+    for col in combinations(range(1, N + 1), 3):
+        t = Tableau(tuple((x,) for x in col), N)
+        got = restrict_section(t, allkeep)
+        assert got == _minor_product_section(t, cell)
+        units += not got.is_zero()
+    assert units == 1
 
 
 def test_cell_matrix_rejects_non_distinguished():

@@ -13,7 +13,8 @@ from grassquot.pluecker import (PlueckerPoly, _codec, _exchange_terms,
                                 restrict_schubert, straighten, tableau_to_poly,
                                 verify_relation)
 from grassquot.symbolic import add_into, sparse_rank
-from grassquot.tableaux import Tableau, enumerate_invariants, is_zero_weight
+from grassquot.tableaux import (Tableau, count_invariants, enumerate_invariants,
+                                is_zero_weight)
 
 
 def random_point_matrix(rng: random.Random, n: int, r: int, bound: int = 9):
@@ -169,6 +170,56 @@ def test_heap_straighten_equals_max_scan_straighten_on_mixed_degrees(data):
     want = _max_scan_straighten(p)
     assert list(got.terms.items()) == list(want.terms.items())
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_straighten_within_equals_restricted_straighten(data):
+    # any interval [v, w] of columns, v = (1..r) or not; the columns of the
+    # input lean towards the interval, so that some terms survive
+    r = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(min_value=r + 1, max_value=7))
+    cols = list(combinations(range(1, n + 1), r))
+    w = data.draw(st.sampled_from(cols))
+    v = data.draw(st.sampled_from([c for c in cols if _leq_cols(c, w)]))
+    inside = [c for c in cols if _leq_cols(v, c) and _leq_cols(c, w)]
+    column = st.sampled_from(inside) | st.sampled_from(cols)
+    degree = data.draw(st.integers(min_value=1, max_value=4))
+    monos = data.draw(st.lists(st.lists(column, min_size=degree, max_size=degree),
+                               min_size=1, max_size=5))
+    coeffs = data.draw(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool),
+        min_size=len(monos), max_size=len(monos)))
+    p = PlueckerPoly(r, n, dict(zip(map(tuple, monos), coeffs)))
+    got = straighten(p, within=(w, v))
+    want = restrict_schubert(straighten(p), w, v)
+    # equal terms, listed in the same order
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_straighten_within_on_g37_products_and_relations():
+    # the 28 products Y_i*Y_j and the seven relation differences, on
+    # [(1,2,3), (3,5,7)] and on the smaller interval [(1,2,5), (3,5,7)]:
+    # equal to the restricted full straightening.  The relations hold on
+    # the Schubert variety, so they vanish on both; the products span the
+    # degree-2 invariants of each interval
+    y = {i: tableau_to_poly(t) for i, t in g37.Y.items()}
+    products = [y[i] * y[j] for i in range(1, 8) for j in range(i, 8)]
+    relations = [y[5] * y[7] - tableau_to_poly(g37.Z20)]
+    for _name, (i, j), rhs in g37.RELATIONS:
+        diff = y[i] * y[j]
+        for sign, (a, b) in rhs:
+            diff = diff - (y[a] * y[b]).scale(sign)
+        relations.append(diff)
+    for v in [(1, 2, 3), (1, 2, 5)]:
+        images = [straighten(p, within=(g37.W37, v)) for p in products + relations]
+        for p, got in zip(products + relations, images):
+            want = restrict_schubert(straighten(p), g37.W37, v)
+            assert list(got.terms.items()) == list(want.terms.items())
+        assert all(q.is_zero() for q in images[len(products):])
+        support = {m for q in images for m in q.terms}
+        assert len(support) == count_invariants(3, 7, 2, g37.W37, v)
 
 
 @pytest.mark.parametrize("r, n", [(2, 5), (2, 7), (3, 7), (3, 8)])

@@ -54,6 +54,7 @@ COMMANDS = (
     + [["acceptance", "--only", "13"],
        ["invariants", "--r", "2", "--n", "5", "--m", "1", "--w", "5,4", "--json"],
        ["projnorm", "--n", "5", "--m", "0", "--json"],
+       ["projnorm", "--n", "5", "--m", "2", "--sample", "0", "--json"],
        ["confluence", "--rules", NEGATIVE, "--max-degree", "1", "--json"]]
 )
 
