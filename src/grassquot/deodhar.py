@@ -230,11 +230,59 @@ def cell_matrix(mask: SubexpressionMask) -> CellMatrix:
 
 @lru_cache(maxsize=256)
 def _cached_cell(letters: tuple[int, ...], keep: tuple[bool, ...],
-                 n: int) -> tuple[tuple[_Column, ...], int]:
-    """The sparse integer columns of a cell matrix (``_cell_columns``) and
-    its number of parameters.  Shared by every caller: read, never write."""
-    cols, p_positions, m_positions = _cell_columns(SubexpressionMask(letters, keep, n))
-    return tuple(cols), len(p_positions) + len(m_positions)
+                 n: int) -> tuple[_Column, ...]:
+    """The sparse integer columns of a cell matrix (``_cell_columns``).
+    Shared by every caller: read, never write."""
+    return tuple(_cell_columns(SubexpressionMask(letters, keep, n))[0])
+
+
+def _cell_support(mask: SubexpressionMask) -> tuple[list[int], int]:
+    """For each column of the cell matrix of a distinguished mask, a row
+    bitmask that holds every row where the column is nonzero; with the
+    number of parameters.
+
+    One pass over the letters with the moves of ``_cell_columns``, OR of
+    row bitmasks in place of polynomial arithmetic: a skipped letter sets
+    a to a | b, a kept descent sets (a, b) to (a | b, a) and a kept ascent
+    to (b, a).  A sum's nonzero rows lie in the union of its summands', so
+    each bitmask covers its column.  A skipped descent raises the
+    ``ValueError`` of ``_cell_columns``.
+    """
+    cur = list(range(mask.n))     # the running prefix product, as in classify
+    support = [1 << j for j in range(mask.n)]
+    nvars = 0
+    for i, keep in zip(mask.letters, mask.keep):
+        a, b = support[i - 1], support[i]
+        ascends = cur[i - 1] < cur[i]
+        if not keep:
+            if not ascends:
+                raise ValueError("mask is not distinguished")
+            support[i - 1] = a | b
+            nvars += 1
+            continue
+        cur[i - 1], cur[i] = cur[i], cur[i - 1]
+        if ascends:
+            support[i - 1], support[i] = b, a
+        else:
+            support[i - 1], support[i] = a | b, a
+            nvars += 1
+    return support, nvars
+
+
+def _has_term_in_support(support: list[int], r: int, rows: tuple[int, ...],
+                         seen: dict[tuple[int, ...], bool]) -> bool:
+    """Whether some term of the Leibniz expansion of the minor that
+    ``_minor`` takes on these rows has every factor inside the support:
+    ``_minor``'s Laplace recursion on booleans.  ``seen`` maps rows to
+    the answer and starts as {(): True}."""
+    found = seen.get(rows)
+    if found is None:
+        col = support[r - len(rows)]
+        found = any(col >> i & 1
+                    and _has_term_in_support(support, r, rows[:k] + rows[k + 1:], seen)
+                    for k, i in enumerate(rows))
+        seen[rows] = found
+    return found
 
 
 def _product_terms(f: _Entry, g: _Entry, sign: int):
@@ -265,18 +313,30 @@ def restrict_section(t: Tableau, mask: SubexpressionMask) -> Poly:
 
     Each column of t becomes the r x r minor on those rows and the first
     r columns of the cell matrix; the result is their product, a
-    polynomial in the cell parameters.  The minors are taken on the
-    cached integer columns (``_cached_cell``), memoised by their rows for
-    this call, and multiplied as ``int`` polynomials; a zero minor ends
-    the call, and one ``Poly`` is built from the finished product.
+    polynomial in the cell parameters.
+
+    Most sections vanish on most cells, and the cell's support pattern
+    (``_cell_support``) proves it before any cell is built: when some
+    column's minor has no Leibniz term with every factor inside the
+    support, that minor is identically zero, since the support holds
+    every nonzero entry, and so is the section.  Otherwise the minors are
+    taken on the cached integer columns (``_cached_cell``), memoised by
+    their rows for this call, and multiplied as ``int`` polynomials; a
+    zero minor ends the call, and one ``Poly`` is built from the finished
+    product.
     """
     if t.n != mask.n:
         raise ValueError(f"tableau on [1,{t.n}] does not match a rank-{mask.n} cell")
-    cols, nvars = _cached_cell(mask.letters, mask.keep, mask.n)
+    support, nvars = _cell_support(mask)
+    rows = [tuple(i - 1 for i in col) for col in t.columns()]
+    seen = {(): True}
+    if not all(_has_term_in_support(support, t.r, rs, seen) for rs in rows):
+        return Poly.zero(nvars)
+    cols = _cached_cell(mask.letters, mask.keep, mask.n)
     minors: dict[tuple[int, ...], _Entry] = {(): {(0,) * nvars: 1}}
     acc = minors[()]
-    for col in t.columns():
-        d = _minor(cols, t.r, tuple(i - 1 for i in col), minors)
+    for rs in rows:
+        d = _minor(cols, t.r, rs, minors)
         if not d:
             return Poly.zero(nvars)
         acc = add_into({}, _product_terms(acc, d, 1))

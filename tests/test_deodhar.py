@@ -6,6 +6,7 @@ import pytest
 
 from grassquot import g37
 from grassquot.deodhar import (NotBelowError, SubexpressionMask, W37_WORD,
+                               _cached_cell, _cell_columns, _cell_support,
                                cell_matrix, classify, descent_probe,
                                enumerate_distinguished, find_pds, lowered_v,
                                quotient_probe, restrict_section)
@@ -179,6 +180,30 @@ def test_cell_matrix_equals_product_of_factors(word, n, count):
         assert cell.mat == _factor_product(mask)
 
 
+@pytest.mark.parametrize("word, n, count", [(W37_WORD, N, 404),
+                                             ((3, 2, 1, 6, 5, 4, 3, 2), 7, 220)])
+def test_cell_support_covers_the_cell(word, n, count):
+    masks = _distinguished_masks(word, n)
+    assert len(masks) == count
+    for mask in masks:
+        cols, p_positions, m_positions = _cell_columns(mask)
+        support, nvars = _cell_support(mask)
+        assert nvars == len(p_positions) + len(m_positions)
+        for c, col in enumerate(cols):
+            assert all(support[c] >> row & 1 for row in col), (mask.keep, c)
+
+
+def test_zero_sections_build_no_cell():
+    # Y1 is nonzero on 19 of the 404 cells; the support proves the other
+    # 385 zero, so only those 19 cells are built
+    masks = _distinguished_masks(W37_WORD, N)
+    _cached_cell.cache_clear()
+    nonzero = sum(not restrict_section(g37.Y[1], mask).is_zero() for mask in masks)
+    info = _cached_cell.cache_info()
+    assert nonzero == 19
+    assert (info.hits, info.misses) == (0, 19)
+
+
 def _minor_product_section(t, cell):
     """Oracle: the product over the columns of t of the ``mat_det`` of the
     ``Poly`` submatrix of the cell matrix on those rows and its first r
@@ -232,6 +257,16 @@ def test_cell_matrix_rejects_non_distinguished():
     assert not classify(bad).distinguished
     with pytest.raises(ValueError):
         cell_matrix(bad)
+
+
+def test_restrict_section_rejects_non_distinguished():
+    bad = [SubexpressionMask(W37_WORD, keep, N)
+           for keep in product([False, True], repeat=9)]
+    bad = [m for m in bad if not classify(m).distinguished]
+    assert len(bad) == 512 - 404
+    for mask in bad:
+        with pytest.raises(ValueError, match="mask is not distinguished"):
+            restrict_section(g37.Y[1], mask)
 
 
 def test_y1_restricts_to_the_unit_monomial():
