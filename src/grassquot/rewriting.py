@@ -13,6 +13,19 @@ check (Buchberger's first criterion, ibid., Proposition 4).  The
 exhaustive search over every reduction strategy in low degrees is kept
 to list the monomials that fail when an ambiguity does not join.
 
+The search is exact but searches little.  Bergman ("The diamond lemma
+for ring theory", Adv. Math. 29, 1978, Lemma 1.1) shows that the
+reduction-unique polynomials form a subspace on which the normal form
+is linear, and its proof gives: if a is reduction-unique, the normal
+forms of a + b are NF(a) plus those of b, for any b.  So a search state
+is split into the terms whose monomial has one normal form, reduced
+linearly, and the rest, the only part whose strategies are searched.
+``normal_form_count`` counts the monomials outside the leading-term
+ideal by inclusion-exclusion over the lcm lattice of the left-hand
+sides rather than enumerating them.  It is exact for any rule file: a
+monomial is divisible by each of a set of left-hand sides exactly when
+it is divisible by their lcm.
+
 ``reduce_poly`` (the division algorithm, ibid., section 2.3) and
 ``all_normal_forms`` (the strategy search) run on integer coefficients
 inside, as ``pluecker.straighten`` does: a rule coefficient is an ``int``
@@ -29,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, combinations_with_replacement
-from math import lcm
+from math import comb, lcm
 from operator import add, le, neg, sub
 
 from . import g37
@@ -41,10 +54,6 @@ PolyY = dict[Mono, Fraction]
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
@@ -94,13 +103,6 @@ def g37_rules() -> RewriteSystem:
         for _name, lhs, rhs in g37.RELATIONS])
 
 
-def find_rule(p_mono: Mono, system: RewriteSystem) -> int | None:
-    for i, (lhs, _) in enumerate(system.rules):
-        if mono_divides(lhs, p_mono):
-            return i
-    return None
-
-
 def apply_rule(p: PolyY, mono: Mono, rule_idx: int, system: RewriteSystem) -> PolyY:
     lhs, rhs = system.rules[rule_idx]
     coeff = p[mono]
@@ -129,9 +131,9 @@ def reduce_poly(p: PolyY, system: RewriteSystem) -> PolyY:
     skipped.  A popped monomial that no left-hand side divides is
     finished: every later term is below it, so it never changes again.
     Otherwise the first rule, in index order, whose left-hand side
-    divides it is applied (``find_rule``'s choice), so a system that is
-    not confluent gives the normal form that rewriting the largest
-    reducible monomial first reaches.  The coefficients are integers
+    divides it is applied, so a system that is not confluent gives the
+    normal form that rewriting the largest reducible monomial first
+    reaches.  The coefficients are integers
     scaled by the lcm D of the input's denominators, and the result maps
     each finished monomial, in descending grlex order, to v/D as a
     ``Fraction``.
@@ -190,12 +192,26 @@ def all_normal_forms(p: PolyY, system: RewriteSystem,
     """Keys of every normal form reachable by any reduction strategy.
 
     A key is a polynomial's (monomial, coefficient) pairs as a sorted
-    tuple, with ``Fraction`` coefficients.  The search (``_normal_forms``)
-    runs on integral coefficients as ``int``s and on a table, built for
-    this call, from each monomial it meets to its one-step rewrites: the
-    right-hand side times the cofactor, for every rule whose left-hand
-    side divides the monomial.  ``memo`` maps each key already searched
-    to its normal forms; pass one dict to several calls to share it.
+    tuple, with ``Fraction`` coefficients.  The search runs on integral
+    coefficients as ``int``s and on a table, built for this call, from
+    each monomial it meets to its one-step rewrites: the right-hand side
+    times the cofactor, for every rule whose left-hand side divides the
+    monomial.
+
+    Only the part of a polynomial without a unique normal form is
+    searched.  If a is reduction-unique, the normal forms of a + b are
+    exactly NF(a) plus those of b, for any b (Bergman, "The diamond lemma
+    for ring theory", 1978, proof of Lemma 1.1): a reduction sequence is
+    a linear map, it can be extended until it leaves both a and b
+    irreducible, and the extension changes no irreducible polynomial.
+    So ``_normal_forms`` splits a polynomial into U, the terms whose
+    monomial has one normal form, reduced linearly as the sum of
+    c·NF(m), and N, the rest, which ``_search`` searches by one step on
+    each of its terms in turn, all of them reducible.  ``memo`` maps
+    each monomial m, as the key ``((m, 1),)``, and each searched N to
+    its normal forms; the monomial's entry is its verdict, one form or
+    several, and recurses only to monomials below m in grlex.  Pass one
+    dict to several calls to share it.
     """
     if memo is None:
         memo = {}
@@ -205,7 +221,25 @@ def all_normal_forms(p: PolyY, system: RewriteSystem,
 
 
 def _normal_forms(key: tuple, rules: list, table: dict, memo: dict) -> set:
-    """Normal-form keys of the polynomial with this key, int coefficients."""
+    """Normal-form keys of the polynomial with this key, int coefficients:
+    NF(U) plus each normal form of N, the terms without a unique one."""
+    unique: dict = {}
+    searched = []
+    for mono, coeff in key:
+        forms = _search(((mono, 1),), rules, table, memo)
+        if len(forms) == 1:
+            add_into(unique, ((m, coeff * c) for m, c in next(iter(forms))))
+        else:
+            searched.append((mono, coeff))
+    if not searched:
+        return {tuple(sorted(unique.items()))}
+    return {tuple(sorted(add_into(dict(unique), form).items()))
+            for form in _search(tuple(searched), rules, table, memo)}
+
+
+def _search(key: tuple, rules: list, table: dict, memo: dict) -> set:
+    """Normal-form keys of a monomial ``((m, 1),)``, or of a polynomial
+    whose every monomial has several, by one step on each term in turn."""
     forms = memo.get(key)
     if forms is not None:
         return forms
@@ -222,7 +256,7 @@ def _normal_forms(key: tuple, rules: list, table: dict, memo: dict) -> set:
         for terms in rewrites:
             reduct = add_into(dict(rest), ((m, coeff * c) for m, c in terms))
             forms |= _normal_forms(tuple(sorted(reduct.items())), rules, table, memo)
-    if not forms:  # no monomial is reducible: the polynomial is its own normal form
+    if not forms:  # an irreducible monomial is its own normal form
         forms.add(key)
     memo[key] = forms
     return forms
@@ -287,13 +321,24 @@ def check_confluence(system: RewriteSystem, through_degree: int = 4) -> dict:
 
 
 def normal_form_count(system: RewriteSystem, m: int) -> int:
-    """Number of degree-m monomials divisible by no left-hand side."""
-    count = 0
-    for mono in combinations_with_replacement(range(1, system.k + 1), m):
-        e = y_mono(system.k, *mono)
-        if find_rule(e, system) is None:
-            count += 1
-    return count
+    """Number of degree-m monomials divisible by no left-hand side.
+
+    Inclusion-exclusion over the lcm lattice of the left-hand sides: a
+    monomial is divisible by every left-hand side of a set S exactly when
+    it is divisible by their lcm L_S, and k generators have
+    C(m - |L| + k - 1, k - 1) monomials of degree m divisible by L, so the
+    count is the sum of (-1)^|S| times that over all S with |L_S| <= m.
+    The left-hand sides are folded in one at a time into a map from each
+    lcm to its signed coefficient, merging equal lcms, so the sum is
+    exact for any rule file and takes no enumeration of monomials.
+    """
+    k = system.k
+    lattice = {(0,) * k: 1}
+    for lhs, _ in system.rules:
+        for mono, c in list(lattice.items()):
+            add_into(lattice, ((tuple(map(max, mono, lhs)), -c),))
+    return sum(c * comb(m - sum(mono) + k - 1, k - 1)
+               for mono, c in lattice.items() if sum(mono) <= m)
 
 
 def scroll_matrix_check(system: RewriteSystem) -> dict:

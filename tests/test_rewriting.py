@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from grassquot.rewriting import (_exhaustive_failures, all_normal_forms,
                                  ambiguities, apply_rule, check_confluence,
-                                 find_rule, format_mono, format_poly,
-                                 g37_rules, grlex_key, make_system,
-                                 normal_form_count, parse_rules,
-                                 reduce_monomial, reduce_poly,
+                                 format_mono, format_poly, g37_rules,
+                                 grlex_key, make_system, normal_form_count,
+                                 parse_rules, reduce_monomial, reduce_poly,
                                  scroll_matrix_check, y_mono)
 from grassquot.tableaux import enumerate_invariants
 
@@ -28,19 +27,41 @@ Y3*Y6 -> Y4^2
 """
 
 # g37 with Y3*Y6 -> Y4*Y5 replaced by Y3*Y6 -> 1/2*Y4*Y5: not confluent, and
-# rational.  (A two-term right side such as 1/2*Y4^2 + 1/2*Y4*Y5 is rational
-# too, but its strategy search makes 273,506 calls through degree 4.)
+# rational
 RATIONAL_RULES = NEGATIVE_RULES.replace("Y3*Y6 -> Y4^2", "Y3*Y6 -> 1/2*Y4*Y5")
 
 RULE_SETS = {"g37": SYSTEM,
              "negative": parse_rules(NEGATIVE_RULES, 7),
              "rational": parse_rules(RATIONAL_RULES, 7)}
 
+# Y3*Y6 sent to right sides of two and three terms, where the number of
+# reduction strategies, and the oracle's search, grow fastest; the oracle
+# is compared with them through degree 3
+WIDE_RULE_SETS = {
+    name: parse_rules(NEGATIVE_RULES.replace("Y3*Y6 -> Y4^2", "Y3*Y6 -> " + rhs), 7)
+    for name, rhs in (("two_term", "2*Y4*Y5 - Y4^2"),
+                      ("two_term_rational", "1/2*Y4^2 + 1/2*Y4*Y5"),
+                      ("three_term", "Y4*Y5 - Y4^2 + Y4*Y7"))}
+
+NON_CONFLUENT = {name: system
+                 for name, system in (RULE_SETS | WIDE_RULE_SETS).items() if name != "g37"}
+
 
 # -- slow oracles: rewriting by whole-polynomial steps on Fraction keys ------
 
 def _poly_key(p):
     return tuple(sorted((m, c) for m, c in p.items()))
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def find_rule(p_mono, system):
+    for i, (lhs, _) in enumerate(system.rules):
+        if mono_divides(lhs, p_mono):
+            return i
+    return None
 
 
 def _reduce_oracle(p, system):
@@ -80,13 +101,27 @@ def _exhaustive_oracle(system, through_degree):
     return failures
 
 
+def _count_oracle(system, m):
+    """Degree-m monomials divisible by no left-hand side, one by one."""
+    count = 0
+    for mono in combinations_with_replacement(range(1, system.k + 1), m):
+        if find_rule(y_mono(system.k, *mono), system) is None:
+            count += 1
+    return count
+
+
+def _random_exponents(rng, k, degree):
+    e = [0] * k
+    for _ in range(degree):
+        e[rng.randrange(k)] += 1
+    return e
+
+
 def _random_poly(rng, k, degree, terms):
     poly = {}
     for _ in range(terms):
-        e = [0] * k
-        for _ in range(degree):
-            e[rng.randrange(k)] += 1
-        poly[tuple(e)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+        poly[tuple(_random_exponents(rng, k, degree))] = Fraction(
+            rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
     return poly
 
 
@@ -112,6 +147,49 @@ def test_exhaustive_failures_match_the_fraction_keyed_oracle(name):
     for failure in failures:
         for form in failure["normal_forms"]:
             assert all(type(c) is Fraction for _m, c in form)
+
+
+@pytest.mark.parametrize("name", ["two_term", "two_term_rational"])
+def test_exhaustive_failures_of_two_term_sides_match_the_oracle(name):
+    system = WIDE_RULE_SETS[name]
+    failures = _exhaustive_failures(system, 3)
+    assert failures and failures == _exhaustive_oracle(system, 3)
+
+
+def test_three_term_side_through_degree_4():
+    system = WIDE_RULE_SETS["three_term"]
+    failures = _exhaustive_failures(system, 4)
+    assert len(failures) == 36
+    low = [f for f in failures if sum(f["monomial"]) <= 3]
+    assert low and low == _exhaustive_oracle(system, 3)
+    for failure in failures:
+        forms = failure["normal_forms"]
+        assert len(forms) > 1 and forms == sorted(set(forms))
+
+
+@pytest.mark.parametrize("name", sorted(NON_CONFLUENT))
+def test_all_normal_forms_of_polynomials_match_the_oracle(name):
+    # the split search adds NF(U) to each normal form of N; a random
+    # polynomial of 2-4 terms, half of them with a monomial that fails,
+    # mixes unique and non-unique terms and exercises the sum
+    system = NON_CONFLUENT[name]
+    failing = [f["monomial"] for f in _exhaustive_oracle(system, 3)]
+    rng = random.Random(f"forms/{name}")
+    memo, oracle_memo = {}, {}
+    checked = several = 0
+    for i in range(80):
+        p = _random_poly(rng, system.k, rng.randint(2, 3), rng.randint(2, 4))
+        if i % 2:
+            del p[next(iter(p))]
+            p[rng.choice(failing)] = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+        if len(p) < 2:
+            continue
+        checked += 1
+        forms = all_normal_forms(p, system, memo)
+        assert forms == _all_normal_forms_oracle(p, system, oracle_memo), p
+        assert all(type(c) is Fraction for form in forms for _m, c in form)
+        several += len(forms) > 1
+    assert checked >= 60 and several >= 20
 
 
 def test_rules_oriented_downhill():
@@ -222,6 +300,22 @@ def test_empty_system_trivially_confluent():
 def test_normal_form_counts():
     assert normal_form_count(SYSTEM, 1) == 7
     assert normal_form_count(SYSTEM, 2) == 22
+
+
+def test_normal_form_count_matches_enumeration_on_random_monomial_ideals():
+    rng = random.Random("count")
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        lhss = {tuple(_random_exponents(rng, k, rng.randint(0, 10)))
+                for _ in range(rng.randint(0, 7))}
+        system = make_system(k, [(lhs, {}) for lhs in lhss])
+        for m in range(9):
+            assert normal_form_count(system, m) == _count_oracle(system, m), (lhss, m)
+
+
+def test_normal_form_count_is_the_scroll_hilbert_function_to_degree_60():
+    for m in range(61):
+        assert normal_form_count(SYSTEM, m) == (m + 1) * (m + 2) * (4 * m + 3) // 6
 
 
 def test_normal_form_counts_match_invariant_dimensions():

@@ -8,8 +8,10 @@ its exit code and its argv.  Run it once per checkout, with that
 checkout's ``src`` on PYTHONPATH, and diff the two outputs: equal lines
 mean byte-identical reports and equal exit codes.  The commands run in a
 fresh temporary directory that holds the benchmark's non-confluent rule
-file (``NEGATIVE_RULES`` of ``bench/workloads.py``), named by the same
-relative path in every checkout, since the confluence report quotes it.
+file (``NEGATIVE_RULES`` of ``bench/workloads.py``) and the same file with
+``Y3*Y6`` sent to a three-term right side, where the strategy search is
+widest, each named by the same relative path in every checkout, since the
+confluence report quotes it.
 """
 
 import contextlib
@@ -29,6 +31,8 @@ G2N_FAMILIES = ((5, 2), (5, 3), (5, 4), (5, 5), (5, 6), (5, 7), (5, 8), (7, 2), 
 PROBES = ("s2s4s3", "s2s3", "s4s3", "s3")
 
 NEGATIVE = "g37_negative.rules"
+THREE_TERM = "g37_three_term.rules"
+THREE_TERM_RULES = NEGATIVE_RULES.replace("Y3*Y6 -> Y4^2", "Y3*Y6 -> Y4*Y5 - Y4^2 + Y4*Y7")
 INVARIANTS = ["invariants", "--r", "3", "--n", "7", "--m", "2", "--w", "3,5,7", "--v", "1,2,3"]
 
 # Every subcommand appears at least once; acceptance and verify-relations
@@ -43,6 +47,7 @@ COMMANDS = (
        ["verify-relations"],
        ["confluence", "--rules", "g37", "--max-degree", "4", "--json"],
        ["confluence", "--rules", NEGATIVE, "--max-degree", "4", "--json"],
+       ["confluence", "--rules", THREE_TERM, "--max-degree", "3", "--json"],
        ["minimal-schubert", "--r", "3", "--n", "7", "--json"],
        ["gamma", "--r", "3", "--n", "8", "--json"],
        INVARIANTS + ["--json"],
@@ -75,6 +80,7 @@ def main() -> int:
         os.chdir(tmp)
         try:
             Path(NEGATIVE).write_text(NEGATIVE_RULES)
+            Path(THREE_TERM).write_text(THREE_TERM_RULES)
             for argv in COMMANDS:
                 sha, code = digest(argv)
                 print(sha, code, " ".join(argv), flush=True)
