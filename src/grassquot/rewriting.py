@@ -33,6 +33,27 @@ where it is integral, the input of ``reduce_poly`` is scaled by the lcm
 of its denominators, and the coefficients they return are ``Fraction``s
 again.  A rational rule coefficient brings ``Fraction``s into the loop,
 which the mixed arithmetic keeps exact.
+
+Both also run on packed monomials (Monagan-Pearce, "Sparse polynomial
+division using a heap", J. Symbolic Comput. 46, 2011): a monomial of
+degree below 2^w is one ``int``, with one field of w bits per generator,
+each topped by a guard bit that is 0 in every code, Y1 in the most
+significant field, Yk in the least, and the degree in a field above them
+all.  Every field holds a value below 2^w, so the integer order compares
+the degree first and then the exponents of Y1, Y2, ... in turn: it is
+grlex order.  Packing is linear, so a rewrite of x by a left-hand side L
+to a right-hand monomial m is x + (m - L), with m - L computed once per
+rule; the result is the code of the product because each of its fields
+is an exponent or the degree of a monomial whose degree is at most that
+of x, since rules go downhill in grlex.  L divides x exactly when
+((x | G) - L) & G == G for G the guard bits: setting the guards lends
+every exponent field 2^w, so none borrows from the next, and a field
+keeps its guard exactly when x's exponent there is at least L's.  The
+degree field, the most significant, is not tested and needs no guard: a
+borrow out of it changes no lower bit.  The width is
+sized from the input's degree, which no monomial of a reduction
+exceeds, and one table of encoded rules per (system, width) is cached
+(``_packed``).  Monomials are decoded only on the way out.
 """
 
 from __future__ import annotations
@@ -40,10 +61,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb, lcm
-from operator import add, le, neg, sub
+from operator import lshift
 
 from . import g37
 from .symbolic import add_into
@@ -117,53 +139,110 @@ def _integral(c: Fraction) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-def _int_rules(system: RewriteSystem) -> list[tuple[Mono, tuple]]:
-    """The rules with every integral right-hand coefficient as an ``int``."""
-    return [(lhs, tuple((m, _integral(c)) for m, c in rhs)) for lhs, rhs in system.rules]
+class _Packed:
+    """The rules of one system on monomials packed into ``int``s of one width.
+
+    An exponent field is ``width`` value bits topped by a guard bit; Yi's
+    field starts at ``shifts[i - 1]`` and the degree's at ``top``.
+    ``guard`` holds every guard bit.  ``rules`` lists, in rule order, each left-hand
+    side's code and its right-hand side as (m - lhs, coefficient) pairs,
+    a coefficient an ``int`` where it is integral.  A left-hand side of
+    degree 2^width or more divides no monomial that fits, and is left out.
+    """
+
+    __slots__ = ("shifts", "top", "mask", "guard", "rules")
+
+    def __init__(self, system: RewriteSystem, width: int):
+        step = width + 1
+        self.shifts = tuple(step * i for i in reversed(range(system.k)))
+        self.top = step * system.k
+        self.mask = (1 << width) - 1
+        self.guard = sum(1 << (s + width) for s in self.shifts)
+        rules = []
+        for lhs, rhs in system.rules:
+            if sum(lhs) <= self.mask:
+                code = self.encode(lhs)
+                rules.append((code, tuple((self.encode(m) - code, _integral(c))
+                                          for m, c in rhs)))
+        self.rules = tuple(rules)
+
+    def encode(self, m: Mono) -> int:
+        return sum(map(lshift, m, self.shifts), sum(m) << self.top)
+
+    def decode(self, x: int) -> Mono:
+        mask = self.mask
+        return tuple([(x >> s) & mask for s in self.shifts])
+
+    def decode_key(self, key: tuple) -> tuple:
+        """A search key with codes as the same key with monomials and
+        ``Fraction`` coefficients, sorted by monomial."""
+        return tuple(sorted([(self.decode(x), Fraction(c)) for x, c in key]))
+
+    def divides(self, lhs: int, x: int) -> bool:
+        guard = self.guard
+        return ((x | guard) - lhs) & guard == guard
+
+    def rewrites(self, x: int) -> list[list[tuple[int, int | Fraction]]]:
+        """The one-step rewrites of x, one per rule whose left side divides it."""
+        return [[(x + d, c) for d, c in rhs] for lhs, rhs in self.rules
+                if self.divides(lhs, x)]
+
+
+@lru_cache(maxsize=16)
+def _packed(system: RewriteSystem, width: int) -> _Packed:
+    return _Packed(system, width)
+
+
+def _width(degree: int) -> int:
+    """The field width that holds every monomial of degree at most ``degree``."""
+    return max(degree, 1).bit_length()
 
 
 def reduce_poly(p: PolyY, system: RewriteSystem) -> PolyY:
     """Normal form, reducing the largest reducible monomial first.
 
-    Polynomial division with the monomials in a max-heap keyed by grlex,
-    the loop of ``pluecker.straighten``.  A monomial is pushed when it
-    enters ``pending``; a popped monomial that has since cancelled is
-    skipped.  A popped monomial that no left-hand side divides is
-    finished: every later term is below it, so it never changes again.
-    Otherwise the first rule, in index order, whose left-hand side
-    divides it is applied, so a system that is not confluent gives the
-    normal form that rewriting the largest reducible monomial first
-    reaches.  The coefficients are integers
-    scaled by the lcm D of the input's denominators, and the result maps
-    each finished monomial, in descending grlex order, to v/D as a
+    Polynomial division with the packed monomials in a max-heap, the loop
+    of ``pluecker.straighten``; packed order is grlex order.  A monomial
+    is pushed when it enters ``pending``; a popped monomial that has since
+    cancelled is skipped.  A popped monomial that no left-hand side
+    divides is finished: every later term is below it, so it never
+    changes again.  Otherwise the first rule, in index order, whose
+    left-hand side divides it is applied, so a system that is not
+    confluent gives the normal form that rewriting the largest reducible
+    monomial first reaches.  The coefficients are integers scaled by the
+    lcm D of the input's denominators, and the result maps each finished
+    monomial, decoded once and in descending grlex order, to v/D as a
     ``Fraction``.
     """
-    rules = _int_rules(system)
+    packed = _packed(system, _width(max(map(sum, p), default=0)))
+    guard, rules = packed.guard, packed.rules
     denom = 1
     for c in p.values():
         denom = lcm(denom, c.denominator)
-    pending = {m: c.numerator * (denom // c.denominator) for m, c in p.items() if c}
-    heap = [(-sum(m), tuple(map(neg, m)), m) for m in pending]
+    pending = {packed.encode(m): c.numerator * (denom // c.denominator)
+               for m, c in p.items() if c}
+    heap = [-x for x in pending]
     heapify(heap)
-    done: PolyY = {}
+    done = []
     while heap:
-        mono = heappop(heap)[2]
-        coeff = pending.pop(mono, None)
+        x = -heappop(heap)
+        coeff = pending.pop(x, None)
         if coeff is None:
             continue
+        high = x | guard
         for lhs, rhs in rules:
-            if all(map(le, lhs, mono)):
+            if (high - lhs) & guard == guard:  # _Packed.divides
                 break
         else:
-            done[mono] = Fraction(coeff, denom)
+            done.append((x, coeff))
             continue
-        cof = tuple(map(sub, mono, lhs))
-        terms = [(tuple(map(add, cof, m)), coeff * c) for m, c in rhs]
+        terms = [(x + d, coeff * c) for d, c in rhs]
         for m, _ in terms:
             if m not in pending:
-                heappush(heap, (-sum(m), tuple(map(neg, m)), m))
+                heappush(heap, -m)
         add_into(pending, terms)
-    return done
+    decode = packed.decode
+    return {decode(x): Fraction(c, denom) for x, c in done}
 
 
 def reduce_monomial(m: Mono, system: RewriteSystem) -> PolyY:
@@ -192,11 +271,12 @@ def all_normal_forms(p: PolyY, system: RewriteSystem,
     """Keys of every normal form reachable by any reduction strategy.
 
     A key is a polynomial's (monomial, coefficient) pairs as a sorted
-    tuple, with ``Fraction`` coefficients.  The search runs on integral
-    coefficients as ``int``s and on a table, built for this call, from
-    each monomial it meets to its one-step rewrites: the right-hand side
-    times the cofactor, for every rule whose left-hand side divides the
-    monomial.
+    tuple, with ``Fraction`` coefficients.  The search runs on packed
+    monomials of the width that p's degree needs, on integral
+    coefficients as ``int``s, and on a table, built for this call, from
+    each packed monomial it meets to its one-step rewrites: the
+    right-hand side times the cofactor, for every rule whose left-hand
+    side divides the monomial.  Its keys are sorted by code.
 
     Only the part of a polynomial without a unique normal form is
     searched.  If a is reduction-unique, the normal forms of a + b are
@@ -207,26 +287,29 @@ def all_normal_forms(p: PolyY, system: RewriteSystem,
     So ``_normal_forms`` splits a polynomial into U, the terms whose
     monomial has one normal form, reduced linearly as the sum of
     c·NF(m), and N, the rest, which ``_search`` searches by one step on
-    each of its terms in turn, all of them reducible.  ``memo`` maps
-    each monomial m, as the key ``((m, 1),)``, and each searched N to
-    its normal forms; the monomial's entry is its verdict, one form or
-    several, and recurses only to monomials below m in grlex.  Pass one
-    dict to several calls to share it.
+    each of its terms in turn, all of them reducible.  The memo of one
+    width maps each packed monomial x, as the key ``((x, 1),)``, and each
+    searched N to its normal forms; the monomial's entry is its verdict,
+    one form or several, and recurses only to monomials below x in grlex.
+    ``memo`` maps each width to its memo, so calls that share one dict
+    never mix two packings.  Pass one dict to several calls to share it.
     """
     if memo is None:
         memo = {}
-    key = tuple(sorted((m, _integral(c)) for m, c in p.items()))
-    forms = _normal_forms(key, _int_rules(system), {}, memo)
-    return {tuple([(m, Fraction(c)) for m, c in form]) for form in forms}
+    width = _width(max(map(sum, p), default=0))
+    packed = _packed(system, width)
+    key = tuple(sorted((packed.encode(m), _integral(c)) for m, c in p.items()))
+    forms = _normal_forms(key, packed, {}, memo.setdefault(width, {}))
+    return {packed.decode_key(form) for form in forms}
 
 
-def _normal_forms(key: tuple, rules: list, table: dict, memo: dict) -> set:
+def _normal_forms(key: tuple, packed: _Packed, steps: dict, memo: dict) -> set:
     """Normal-form keys of the polynomial with this key, int coefficients:
     NF(U) plus each normal form of N, the terms without a unique one."""
     unique: dict = {}
     searched = []
     for mono, coeff in key:
-        forms = _search(((mono, 1),), rules, table, memo)
+        forms = _search(((mono, 1),), packed, steps, memo)
         if len(forms) == 1:
             add_into(unique, ((m, coeff * c) for m, c in next(iter(forms))))
         else:
@@ -234,28 +317,25 @@ def _normal_forms(key: tuple, rules: list, table: dict, memo: dict) -> set:
     if not searched:
         return {tuple(sorted(unique.items()))}
     return {tuple(sorted(add_into(dict(unique), form).items()))
-            for form in _search(tuple(searched), rules, table, memo)}
+            for form in _search(tuple(searched), packed, steps, memo)}
 
 
-def _search(key: tuple, rules: list, table: dict, memo: dict) -> set:
-    """Normal-form keys of a monomial ``((m, 1),)``, or of a polynomial
-    whose every monomial has several, by one step on each term in turn."""
+def _search(key: tuple, packed: _Packed, steps: dict, memo: dict) -> set:
+    """Normal-form keys of a monomial ``((x, 1),)``, or of a polynomial
+    whose every monomial has several, by one step on each term in turn.
+    ``steps`` maps each packed monomial met to ``packed.rewrites`` of it."""
     forms = memo.get(key)
     if forms is not None:
         return forms
     forms = set()
     for i, (mono, coeff) in enumerate(key):
-        rewrites = table.get(mono)
+        rewrites = steps.get(mono)
         if rewrites is None:
-            rewrites = table[mono] = []
-            for lhs, rhs in rules:
-                if all(map(le, lhs, mono)):
-                    cof = tuple(map(sub, mono, lhs))
-                    rewrites.append([(tuple(map(add, cof, m)), c) for m, c in rhs])
+            rewrites = steps[mono] = packed.rewrites(mono)
         rest = key[:i] + key[i + 1:]
         for terms in rewrites:
             reduct = add_into(dict(rest), ((m, coeff * c) for m, c in terms))
-            forms |= _normal_forms(tuple(sorted(reduct.items())), rules, table, memo)
+            forms |= _normal_forms(tuple(sorted(reduct.items())), packed, steps, memo)
     if not forms:  # an irreducible monomial is its own normal form
         forms.add(key)
     memo[key] = forms
@@ -264,15 +344,21 @@ def _search(key: tuple, rules: list, table: dict, memo: dict) -> set:
 
 def _exhaustive_failures(system: RewriteSystem, through_degree: int) -> list[dict]:
     """Monomials of degree 2..through_degree with more than one normal form,
-    found by searching every reduction strategy."""
+    found by searching every reduction strategy.
+
+    One packed table, one rewrite table and one memo serve every
+    monomial; only the failing monomials' normal forms are decoded."""
+    packed = _packed(system, _width(through_degree))
+    steps: dict = {}
     memo: dict = {}
     failures = []
     for deg in range(2, through_degree + 1):
         for mono in combinations_with_replacement(range(1, system.k + 1), deg):
             m = y_mono(system.k, *mono)
-            forms = all_normal_forms({m: Fraction(1)}, system, memo)
+            forms = _search(((packed.encode(m), 1),), packed, steps, memo)
             if len(forms) != 1:
-                failures.append({"monomial": m, "normal_forms": sorted(forms)})
+                failures.append({"monomial": m,
+                                 "normal_forms": sorted(map(packed.decode_key, forms))})
     return failures
 
 
@@ -383,8 +469,13 @@ def _parse_side(text: str, k: int) -> PolyY:
         m = _TERM_RE.match(text, pos)
         if not m:
             raise ValueError(f"cannot parse rule text at: {text[pos:]!r}")
+        if pos and not m.group(1):
+            raise ValueError(f"term {m.group().strip()!r} needs a '+' or '-' before it")
         sign = -1 if m.group(1) == "-" else 1
-        coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        try:
+            coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {m.group(2)} has a zero denominator") from None
         e = [0] * k
         for fm in _FACTOR_RE.finditer(m.group(3)):
             idx = int(fm.group(1))
@@ -405,10 +496,13 @@ def parse_rules(text: str, k: int) -> RewriteSystem:
         if line.count("->") != 1:
             raise ValueError(f"rule line {lineno} needs one '->': {line!r}")
         lhs_text, rhs_text = line.split("->")
-        lhs_poly = _parse_side(lhs_text, k)
+        try:
+            lhs_poly, rhs = _parse_side(lhs_text, k), _parse_side(rhs_text, k)
+        except ValueError as exc:
+            raise ValueError(f"rule line {lineno}: {exc}: {line!r}") from None
         if len(lhs_poly) != 1 or next(iter(lhs_poly.values())) != 1:
             raise ValueError(f"left side must be a single monic monomial: {line}")
-        rules.append((next(iter(lhs_poly)), _parse_side(rhs_text, k)))
+        rules.append((next(iter(lhs_poly)), rhs))
     return make_system(k, rules)
 
 

@@ -256,6 +256,17 @@ def test_rule_line_without_arrow_is_named(tmp_path, capsys):
     assert "line 2" in err and "Y1*Y3 = Y2^2" in err
 
 
+@pytest.mark.parametrize("line", ["Y1*Y2 -> 1/0*Y3", "Y1*Y2 -> Y3 Y4"])
+def test_malformed_rule_term_is_named(tmp_path, capsys, line):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("Y1*Y2 -> Y3^2\n" + line + "\n")
+    code = main(["confluence", "--rules", str(rules), "--generators", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1
+    assert "line 2" in err and line in err
+
+
 def test_missing_rule_file_is_a_usage_error(tmp_path, capsys):
     code = main(["confluence", "--rules", str(tmp_path / "absent.txt")])
     assert code == 2

@@ -5,11 +5,12 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassquot.rewriting import (_exhaustive_failures, all_normal_forms,
-                                 ambiguities, apply_rule, check_confluence,
-                                 format_mono, format_poly, g37_rules,
-                                 grlex_key, make_system, normal_form_count,
-                                 parse_rules, reduce_monomial, reduce_poly,
+from grassquot.rewriting import (_exhaustive_failures, _packed, _width,
+                                 all_normal_forms, ambiguities, apply_rule,
+                                 check_confluence, format_mono, format_poly,
+                                 g37_rules, grlex_key, make_system, mono_mul,
+                                 normal_form_count, parse_rules,
+                                 reduce_monomial, reduce_poly,
                                  scroll_matrix_check, y_mono)
 from grassquot.tableaux import enumerate_invariants
 
@@ -30,9 +31,20 @@ Y3*Y6 -> Y4^2
 # rational
 RATIONAL_RULES = NEGATIVE_RULES.replace("Y3*Y6 -> Y4^2", "Y3*Y6 -> 1/2*Y4*Y5")
 
+# right sides of degree 1 below quadratic left sides, so a reduction mixes
+# degrees; Y1*Y2*Y3 reduces to Y3^2 and to Y1^2, and the rules are not
+# confluent.  Y3^4 does not fit the 1-bit fields of a degree-1 input: its
+# exponent would spill into Y2's field
+MIXED_DEGREE_RULES = """\
+Y1*Y2 -> Y3
+Y2*Y3 -> Y1
+Y3^4 -> Y1*Y2*Y3
+"""
+
 RULE_SETS = {"g37": SYSTEM,
              "negative": parse_rules(NEGATIVE_RULES, 7),
-             "rational": parse_rules(RATIONAL_RULES, 7)}
+             "rational": parse_rules(RATIONAL_RULES, 7),
+             "mixed_degree": parse_rules(MIXED_DEGREE_RULES, 3)}
 
 # Y3*Y6 sent to right sides of two and three terms, where the number of
 # reduction strategies, and the oracle's search, grow fastest; the oracle
@@ -127,10 +139,16 @@ def _random_poly(rng, k, degree, terms):
 
 @pytest.mark.parametrize("name", sorted(RULE_SETS))
 def test_reduce_poly_matches_the_sort_and_scan_oracle(name):
+    # degrees 2..9 as the benchmark draws them, then 10..40, whose packed
+    # fields are 4, 5 and 6 bits wide, then 0..1, whose 1-bit fields hold
+    # no left-hand side
     system = RULE_SETS[name]
     rng = random.Random(f"reduce/{name}")
-    for _ in range(200):
-        p = _random_poly(rng, system.k, rng.randint(2, 9), rng.randint(1, 6))
+    shapes = ([(rng.randint(2, 9), rng.randint(1, 6)) for _ in range(200)]
+              + [(rng.randint(10, 40), rng.randint(1, 3)) for _ in range(24)]
+              + [(rng.randint(0, 1), rng.randint(1, 3)) for _ in range(8)])
+    for degree, terms in shapes:
+        p = _random_poly(rng, system.k, degree, terms)
         got = reduce_poly(p, system)
         assert got == _reduce_oracle(p, system), p
         assert all(type(c) is Fraction for c in got.values())
@@ -147,6 +165,62 @@ def test_exhaustive_failures_match_the_fraction_keyed_oracle(name):
     for failure in failures:
         for form in failure["normal_forms"]:
             assert all(type(c) is Fraction for _m, c in form)
+
+
+def test_exhaustive_failures_build_one_packed_table():
+    _packed.cache_clear()
+    _exhaustive_failures(RULE_SETS["negative"], 4)
+    info = _packed.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+
+
+def test_a_shared_memo_keeps_each_width_apart():
+    # degrees 3 and 5 pack into fields of 2 and 3 bits; one memo serves
+    # calls of both, and of both again.  Y7 divides no left side, so a
+    # failing monomial times Y7^2 fails too
+    system = RULE_SETS["negative"]
+    a, b = (f["monomial"] for f in _exhaustive_oracle(system, 3)[:2])
+    y7 = y_mono(7, 7, 7)
+    polys = [{a: Fraction(1)},
+             {mono_mul(a, y7): Fraction(1), mono_mul(b, y7): Fraction(-2)},
+             {b: Fraction(1, 2), y_mono(7, 1, 1, 6): Fraction(3)}]
+    memo, oracle_memo = {}, {}
+    for p in polys + polys:
+        forms = all_normal_forms(p, system, memo)
+        assert len(forms) > 1
+        assert forms == _all_normal_forms_oracle(p, system, oracle_memo)
+    assert sorted(memo) == [2, 3]
+
+
+@st.composite
+def monomial_pairs(draw):
+    """k and two exponent vectors in k generators of degree at most 40."""
+    k = draw(st.integers(min_value=1, max_value=7))
+    vectors = []
+    for _ in range(2):
+        e = [0] * k
+        for i in draw(st.lists(st.integers(min_value=0, max_value=k - 1), max_size=40)):
+            e[i] += 1
+        vectors.append(tuple(e))
+    return k, *vectors
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(monomial_pairs())
+def test_packed_codes_keep_grlex_order_divisibility_and_cofactors(pair):
+    k, a, b = pair
+    packed = _packed(make_system(k, []), _width(max(sum(a), sum(b))))
+    x, y = packed.encode(a), packed.encode(b)
+    assert packed.decode(x) == a and packed.decode(y) == b
+    assert (x < y) == (grlex_key(a) < grlex_key(b)) and (x == y) == (a == b)
+    divides = all(s <= t for s, t in zip(a, b))
+    assert packed.divides(x, y) == divides
+    if divides:
+        # a rewrite of b by a left side a to a monomial m of degree at most
+        # deg a is the code of b / a * m
+        m = tuple(sorted(a))
+        assert y + (packed.encode(m) - x) == packed.encode(
+            tuple(t - s + u for s, t, u in zip(a, b, m)))
 
 
 @pytest.mark.parametrize("name", ["two_term", "two_term_rational"])
@@ -363,6 +437,23 @@ def test_rule_text_roundtrip():
 def test_parse_rejects_non_monic_lhs():
     with pytest.raises(ValueError):
         parse_rules("2 Y1*Y5 -> Y3^2", 7)
+
+
+@pytest.mark.parametrize("line", ["Y1*Y2 -> Y3 Y4", "Y1*Y2 -> Y3*Y4 Y5",
+                                  "Y1*Y2 -> Y3^2 - Y4 2 Y5", "Y1*Y2 -> 1/0*Y3",
+                                  "Y1*Y2 -> Y3 + 0/0 Y4"])
+def test_unsigned_terms_and_zero_denominators_name_their_line(line):
+    with pytest.raises(ValueError, match="rule line 2") as exc:
+        parse_rules("Y1*Y5 -> Y3^2\n" + line, 7)
+    assert repr(line) in str(exc.value)
+
+
+def test_documented_coefficient_forms_parse():
+    for text, coeff, mono in (("2 Y4", 2, (4,)), ("1/2*Y4^2", Fraction(1, 2), (4, 4)),
+                              ("1/2 Y4^2", Fraction(1, 2), (4, 4)),
+                              ("-1/2 Y4^2", Fraction(-1, 2), (4, 4))):
+        system = parse_rules(f"Y3*Y6 -> {text}", 7)
+        assert dict(system.rules[0][1]) == {y_mono(7, *mono): coeff}, text
 
 
 def test_reduction_strategy_independence_spot_check():
