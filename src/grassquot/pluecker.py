@@ -25,7 +25,7 @@ from operator import invert
 
 from .symbolic import SparsePoly, add_into
 from .tableaux import Tableau
-from .weyl import ColumnTuple
+from .weyl import ColumnTuple, _entries
 
 Column = tuple[int, ...]
 Monomial = tuple[Column, ...]  # sorted ascending
@@ -81,10 +81,6 @@ def tableau_to_poly(t: Tableau) -> PlueckerPoly:
 
 def _leq_cols(a: Column, b: Column) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def _entries(bound: ColumnTuple | tuple) -> Column:
-    return bound.entries if isinstance(bound, ColumnTuple) else tuple(bound)
 
 
 def _first_violation(mono: Monomial) -> int | None:
@@ -194,8 +190,11 @@ class _Codec:
                          if _leq_cols(ve, col) and _leq_cols(col, we))
 
     def exchange_within(self, inside: frozenset[int]):
-        """``exchange`` without the terms that have a code outside ``inside``."""
+        """``exchange`` without the terms that have a code outside ``inside``;
+        ``exchange`` itself when ``inside`` holds every code."""
         exchange = self.exchange
+        if len(inside) == len(self.columns):
+            return exchange
 
         def filtered(a: int, b: int) -> list[tuple[int, int, int]]:
             return [t for t in exchange(a, b) if t[1] in inside and t[2] in inside]
@@ -293,15 +292,16 @@ def restrict_schubert(p: PlueckerPoly, w: ColumnTuple | tuple,
 
 def verify_relation(lhs: list[Tableau],
                     rhs: list[tuple[int, list[Tableau]]],
-                    w: ColumnTuple | tuple, v: ColumnTuple | tuple,
-                    restricted: bool = True) -> tuple[bool, PlueckerPoly]:
-    """Check prod(lhs) = sum of signed prod(rhs) modulo the Schubert restriction.
+                    w: ColumnTuple | tuple,
+                    v: ColumnTuple | tuple) -> tuple[bool, PlueckerPoly]:
+    """Check prod(lhs) = sum of signed prod(rhs) on the Richardson variety X_w^v.
 
-    Returns (holds, residue); the residue is the straightened difference,
-    kept for diagnostics.  When ``restricted``, it is straightened modulo
-    the ideal of the Richardson variety, ``straighten(..., within=(w, v))``,
-    which equals the restriction of the full straightening but never builds
-    the terms outside [v, w]; otherwise it is the full straightening.
+    Returns (holds, residue); the residue is the difference straightened
+    modulo the ideal of X_w^v, ``straighten(..., within=(w, v))``, which
+    equals the restriction of the full straightening but never builds the
+    terms outside [v, w], and is kept for diagnostics.  The bounds of the
+    whole Grassmannian, w = (n-r+1..n) and v = (1..r), keep every column,
+    so there the residue is the full straightening.
     """
     poly = tableau_to_poly(lhs[0])
     for t in lhs[1:]:
@@ -311,7 +311,7 @@ def verify_relation(lhs: list[Tableau],
         for t in tabs[1:]:
             term = term * tableau_to_poly(t)
         poly = poly - term.scale(sign)
-    residue = straighten(poly, within=(w, v) if restricted else None)
+    residue = straighten(poly, within=(w, v))
     return residue.is_zero(), residue
 
 

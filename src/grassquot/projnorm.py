@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 
-from .pluecker import (PlueckerPoly, _first_violation, restrict_schubert,
-                       straighten, tableau_to_poly)
+from .pluecker import PlueckerPoly, _first_violation, straighten, tableau_to_poly
 from .symbolic import add_into, sparse_rank
 from .tableaux import (LemmaViolation, Tableau, deglex_key, enumerate_invariants,
                        is_zero_weight)
@@ -417,19 +416,18 @@ def expand_factorization(fact: Factorization, n: int) -> PlueckerPoly:
         for c, tabs in fact))))
 
 
-def surjectivity_oracle(n: int, m: int,
-                        w: tuple[int, int] | None = None) -> tuple[int, int, bool]:
+def surjectivity_oracle(n: int, m: int) -> tuple[int, int, bool]:
     """Rank of degree-1 products inside degree m, by exact elimination.
 
     Returns (rank of the span of all m-fold products of the degree-1
-    basis, dimension of the degree-m invariants, equality flag).
+    basis, dimension of the degree-m invariants, equality flag), on the
+    whole Grassmannian G(2,n): the bounds (1,2) and (n-1,n) hold every
+    column, so each straightened product lies in the degree-m basis.
     """
     if n % 2 == 0:
         raise ValueError("the degree-1 generation setting needs n odd")
-    top = w if w is not None else (n - 1, n)
-    bottom = (1, 2)
-    basis1 = enumerate_invariants(2, n, 1, top, bottom)
-    basis_m = enumerate_invariants(2, n, m, top, bottom)
+    basis1 = enumerate_invariants(2, n, 1, (n - 1, n), (1, 2))
+    basis_m = enumerate_invariants(2, n, m, (n - 1, n), (1, 2))
     index = {tuple(t.columns()): k for k, t in enumerate(basis_m)}
     dim = len(basis_m)
     factors = [tuple(T.columns()) for T in basis1]
@@ -445,8 +443,7 @@ def surjectivity_oracle(n: int, m: int,
                 if mono in seen or (_first_violation(mono) is None) != standard:
                     continue
                 seen.add(mono)
-                poly = restrict_schubert(straighten(PlueckerPoly(2, n, {mono: 1})),
-                                         top, bottom)
+                poly = straighten(PlueckerPoly(2, n, {mono: 1}))
                 row = {}
                 for std, c in poly.terms.items():
                     if std not in index:
@@ -497,9 +494,10 @@ def family_check(n: int, m: int, sample: int | None = None, seed: int = 1729) ->
             cases[sr.case] = cases.get(sr.case, 0) + 1
             if profile.defects:
                 defected += 1
-            # the factorization reuses the contract's swap repair
-            fact = (_factorize_swapped(t, sr, memo) if m > 1 and t.rows not in memo
-                    else factorize(t, memo))
+            # the factorization reuses the contract's swap repair; t is not
+            # in the memo yet, since the tableaux come in ascending degree-lex
+            # order and the recursion reaches only smaller ones
+            fact = _factorize_swapped(t, sr, memo) if m > 1 else factorize(t, memo)
             if not (expand_factorization(fact, n) - tableau_to_poly(t)).is_zero():
                 raise LemmaViolation("factorization does not re-expand to the input")
             passed["factorize"] += 1

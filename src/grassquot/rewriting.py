@@ -245,10 +245,6 @@ def reduce_poly(p: PolyY, system: RewriteSystem) -> PolyY:
     return {decode(x): Fraction(c, denom) for x, c in done}
 
 
-def reduce_monomial(m: Mono, system: RewriteSystem) -> PolyY:
-    return reduce_poly({m: Fraction(1)}, system)
-
-
 def ambiguities(system: RewriteSystem) -> list[tuple[Mono, int, int]]:
     """Proper overlaps: lcm(lhs_i, lhs_j) != lhs_i * lhs_j.
 
@@ -266,8 +262,7 @@ def ambiguities(system: RewriteSystem) -> list[tuple[Mono, int, int]]:
     return out
 
 
-def all_normal_forms(p: PolyY, system: RewriteSystem,
-                     memo: dict | None = None) -> set:
+def all_normal_forms(p: PolyY, system: RewriteSystem) -> set:
     """Keys of every normal form reachable by any reduction strategy.
 
     A key is a polynomial's (monomial, coefficient) pairs as a sorted
@@ -287,19 +282,15 @@ def all_normal_forms(p: PolyY, system: RewriteSystem,
     So ``_normal_forms`` splits a polynomial into U, the terms whose
     monomial has one normal form, reduced linearly as the sum of
     c·NF(m), and N, the rest, which ``_search`` searches by one step on
-    each of its terms in turn, all of them reducible.  The memo of one
-    width maps each packed monomial x, as the key ``((x, 1),)``, and each
-    searched N to its normal forms; the monomial's entry is its verdict,
-    one form or several, and recurses only to monomials below x in grlex.
-    ``memo`` maps each width to its memo, so calls that share one dict
-    never mix two packings.  Pass one dict to several calls to share it.
+    each of its terms in turn, all of them reducible.  A memo, built for
+    this call, maps each packed monomial x, as the key ``((x, 1),)``, and
+    each searched N to its normal forms; the monomial's entry is its
+    verdict, one form or several, and recurses only to monomials below x
+    in grlex.
     """
-    if memo is None:
-        memo = {}
-    width = _width(max(map(sum, p), default=0))
-    packed = _packed(system, width)
+    packed = _packed(system, _width(max(map(sum, p), default=0)))
     key = tuple(sorted((packed.encode(m), _integral(c)) for m, c in p.items()))
-    forms = _normal_forms(key, packed, {}, memo.setdefault(width, {}))
+    forms = _normal_forms(key, packed, {}, {})
     return {packed.decode_key(form) for form in forms}
 
 

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .weyl import ColumnTuple
+from .weyl import ColumnTuple, _entries
 
 
 class LemmaViolation(RuntimeError):
@@ -134,8 +134,7 @@ def _live_layers(r: int, n: int, m: int, w, v) -> list[dict]:
     """
     if r < 1 or n < r or m < 1:
         raise ValueError(f"need 1 <= r <= n and m >= 1, got r={r}, n={n}, m={m}")
-    we = w.entries if isinstance(w, ColumnTuple) else tuple(w)
-    ve = v.entries if isinstance(v, ColumnTuple) else tuple(v)
+    we, ve = _entries(w), _entries(v)
     if len(we) != r or len(ve) != r:
         raise ValueError("column bounds must have r entries")
     d, need = m * n, r * m

@@ -159,10 +159,14 @@ class Weight:
 # ---------------------------------------------------------------------------
 # operations
 
+def _entries(bound: ColumnTuple | tuple) -> tuple[int, ...]:
+    """The entries of a column tuple, or of a plain tuple of ints."""
+    return bound.entries if isinstance(bound, ColumnTuple) else tuple(bound)
+
+
 def bruhat_leq(u: ColumnTuple | tuple, w: ColumnTuple | tuple) -> bool:
     """Componentwise order on I(r,n): u <= w iff u(i) <= w(i) for all i."""
-    ue = u.entries if isinstance(u, ColumnTuple) else tuple(u)
-    we = w.entries if isinstance(w, ColumnTuple) else tuple(w)
+    ue, we = _entries(u), _entries(w)
     if isinstance(u, ColumnTuple) and isinstance(w, ColumnTuple):
         if (u.r, u.n) != (w.r, w.n):
             raise ValueError(f"mismatched (r, n): ({u.r},{u.n}) vs ({w.r},{w.n})")

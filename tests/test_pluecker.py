@@ -175,8 +175,9 @@ def test_heap_straighten_equals_max_scan_straighten_on_mixed_degrees(data):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_straighten_within_equals_restricted_straighten(data):
-    # any interval [v, w] of columns, v = (1..r) or not; the columns of the
-    # input lean towards the interval, so that some terms survive
+    # any interval [v, w] of columns, v = (1..r) or not, and the whole
+    # Grassmannian's [(1..r), (n-r+1..n)]; the columns of the input lean
+    # towards the interval, so that some terms survive
     r = data.draw(st.sampled_from([2, 3]))
     n = data.draw(st.integers(min_value=r + 1, max_value=7))
     cols = list(combinations(range(1, n + 1), r))
@@ -191,11 +192,13 @@ def test_straighten_within_equals_restricted_straighten(data):
         st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool),
         min_size=len(monos), max_size=len(monos)))
     p = PlueckerPoly(r, n, dict(zip(map(tuple, monos), coeffs)))
-    got = straighten(p, within=(w, v))
-    want = restrict_schubert(straighten(p), w, v)
-    # equal terms, listed in the same order
-    assert list(got.terms.items()) == list(want.terms.items())
-    assert all(type(c) is Fraction for c in got.terms.values())
+    full = straighten(p)
+    for bounds in ((w, v), (cols[-1], cols[0])):
+        got = straighten(p, within=bounds)
+        want = restrict_schubert(full, *bounds)
+        # equal terms, listed in the same order
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def test_straighten_within_on_g37_products_and_relations():
@@ -300,7 +303,7 @@ def test_all_relations_hold_restricted_and_fail_raw():
                                       g37.W37, (1, 2, 3))
         assert ok and residue.is_zero(), name
         raw_ok, raw_residue = verify_relation([g37.Y[i], g37.Y[j]], signed,
-                                              g37.W37, (1, 2, 3), restricted=False)
+                                              (5, 6, 7), (1, 2, 3))
         if not raw_ok:
             raw_failures += 1
             assert not raw_residue.is_zero()
@@ -342,7 +345,7 @@ def test_schubert_point_kills_relation_difference():
     name, (i, j), rhs = g37.RELATIONS[5]  # the two-term relation
     signed = [(s, [g37.Y[a], g37.Y[b]]) for s, (a, b) in rhs]
     _, raw_residue = verify_relation([g37.Y[i], g37.Y[j]], signed,
-                                     g37.W37, (1, 2, 3), restricted=False)
+                                     (5, 6, 7), (1, 2, 3))
     for _ in range(5):
         values = [Fraction(rng.randint(-5, 5)) for _ in range(cell.nvars)]
         full = cell.substitute(values)

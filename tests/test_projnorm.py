@@ -227,9 +227,6 @@ def test_surjectivity_oracle():
     assert surjectivity_oracle(5, 1) == (6, 6, True)
     rank, dim, equal = surjectivity_oracle(5, 2)
     assert equal and rank == dim == 16
-    # restricted to a Schubert bound the products still span
-    rank_w, dim_w, equal_w = surjectivity_oracle(5, 2, w=(3, 5))
-    assert equal_w and dim_w == 3
 
 
 def test_surjectivity_oracle_rejects_even_n():

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from grassquot.rewriting import (_exhaustive_failures, _packed, _width,
                                  all_normal_forms, ambiguities, apply_rule,
                                  check_confluence, format_mono, format_poly,
-                                 g37_rules, grlex_key, make_system, mono_mul,
-                                 normal_form_count, parse_rules,
-                                 reduce_monomial, reduce_poly,
+                                 g37_rules, grlex_key, make_system,
+                                 normal_form_count, parse_rules, reduce_poly,
                                  scroll_matrix_check, y_mono)
 from grassquot.tableaux import enumerate_invariants
 
@@ -174,24 +173,6 @@ def test_exhaustive_failures_build_one_packed_table():
     assert (info.misses, info.hits) == (1, 0)
 
 
-def test_a_shared_memo_keeps_each_width_apart():
-    # degrees 3 and 5 pack into fields of 2 and 3 bits; one memo serves
-    # calls of both, and of both again.  Y7 divides no left side, so a
-    # failing monomial times Y7^2 fails too
-    system = RULE_SETS["negative"]
-    a, b = (f["monomial"] for f in _exhaustive_oracle(system, 3)[:2])
-    y7 = y_mono(7, 7, 7)
-    polys = [{a: Fraction(1)},
-             {mono_mul(a, y7): Fraction(1), mono_mul(b, y7): Fraction(-2)},
-             {b: Fraction(1, 2), y_mono(7, 1, 1, 6): Fraction(3)}]
-    memo, oracle_memo = {}, {}
-    for p in polys + polys:
-        forms = all_normal_forms(p, system, memo)
-        assert len(forms) > 1
-        assert forms == _all_normal_forms_oracle(p, system, oracle_memo)
-    assert sorted(memo) == [2, 3]
-
-
 @st.composite
 def monomial_pairs(draw):
     """k and two exponent vectors in k generators of degree at most 40."""
@@ -249,7 +230,7 @@ def test_all_normal_forms_of_polynomials_match_the_oracle(name):
     system = NON_CONFLUENT[name]
     failing = [f["monomial"] for f in _exhaustive_oracle(system, 3)]
     rng = random.Random(f"forms/{name}")
-    memo, oracle_memo = {}, {}
+    oracle_memo = {}
     checked = several = 0
     for i in range(80):
         p = _random_poly(rng, system.k, rng.randint(2, 3), rng.randint(2, 4))
@@ -259,7 +240,7 @@ def test_all_normal_forms_of_polynomials_match_the_oracle(name):
         if len(p) < 2:
             continue
         checked += 1
-        forms = all_normal_forms(p, system, memo)
+        forms = all_normal_forms(p, system)
         assert forms == _all_normal_forms_oracle(p, system, oracle_memo), p
         assert all(type(c) is Fraction for form in forms for _m, c in form)
         several += len(forms) > 1
@@ -278,13 +259,13 @@ def test_misoriented_rule_rejected():
 
 
 def test_reduce_examples():
-    assert reduce_monomial(y_mono(7, 1, 5), SYSTEM) == {
+    assert reduce_poly({y_mono(7, 1, 5): Fraction(1)}, SYSTEM) == {
         y_mono(7, 3, 3): Fraction(1), y_mono(7, 3, 7): Fraction(-1)}
-    assert reduce_monomial(y_mono(7, 1, 2, 5), SYSTEM) == {
+    assert reduce_poly({y_mono(7, 1, 2, 5): Fraction(1)}, SYSTEM) == {
         y_mono(7, 2, 3, 3): Fraction(1), y_mono(7, 2, 3, 7): Fraction(-1)}
     for k in (1, 2, 5):
         m = tuple(0 if i != 6 else k for i in range(7))
-        assert reduce_monomial(m, SYSTEM) == {m: Fraction(1)}
+        assert reduce_poly({m: Fraction(1)}, SYSTEM) == {m: Fraction(1)}
 
 
 def test_ambiguities_include_the_documented_four():
