@@ -6,7 +6,7 @@ import pytest
 
 from grassquot import projnorm
 from grassquot.pluecker import PlueckerPoly, straighten, tableau_to_poly
-from grassquot.projnorm import (LemmaViolation, defect_profile,
+from grassquot.projnorm import (FlaggedCase, LemmaViolation, defect_profile,
                                 expand_factorization, factorize, family_check,
                                 mod_m_symmetry, s_blocks, split,
                                 surjectivity_oracle, swap_rewrite)
@@ -195,6 +195,104 @@ def test_factorize_terminates_on_larger_families():
         assert (expand_factorization(fact, 7) - tableau_to_poly(t)).is_zero()
 
 
+def test_certificate_agrees_with_reexpansion_exhaustively():
+    # the induction (fast path) and the factorization multiplied back out
+    # (slow oracle) accept every tableau, and rest on the same tableaux
+    for n, m in [(5, 3), (7, 2)]:
+        certified: dict = {}
+        factorized: dict = {}
+        for t in _family(n, m):
+            projnorm._certify(t.rows, n, certified)
+            fact = factorize(t, factorized)
+            assert (expand_factorization(fact, n) - tableau_to_poly(t)).is_zero()
+        assert set(certified.values()) == {None}
+        assert set(certified) == {rows for rows in factorized if len(rows[0]) > n}
+
+
+def _reexpansion_family_check(n, m):
+    """family_check's violations and pass counts by the slow path: every
+    factorization is built by factorize and multiplied back out."""
+    violations = []
+    passed = dict.fromkeys(
+        ("defect_laws", "residue_law", "block_laws", "swap_contract", "factorize"), 0)
+    memo: dict = {}
+    for t in _family(n, m):
+        try:
+            s = split(t, m)
+            profile = defect_profile(s)
+            passed["defect_laws"] += 1
+            for i in range(1, n + 1):
+                mod_m_symmetry(t, i, m)
+            passed["residue_law"] += 1
+            s_blocks(t, profile, m)
+            passed["block_laws"] += 1
+            swap_rewrite(t)
+            passed["swap_contract"] += 1
+            fact = factorize(t, memo)
+            if not (expand_factorization(fact, n) - tableau_to_poly(t)).is_zero():
+                raise LemmaViolation("factorization does not re-expand to the input")
+            passed["factorize"] += 1
+        except (LemmaViolation, FlaggedCase) as exc:
+            violations.append({"tableau": [list(r) for r in t.rows], "error": str(exc)})
+    return violations, passed
+
+
+def _inject_failures(monkeypatch, name, broken):
+    """Make projnorm.<name> raise broken[t.rows](message) on those tableaux."""
+    real = getattr(projnorm, name)
+
+    def failing(t, *args):
+        if t.rows in broken:
+            raise broken[t.rows](f"injected failure at {t.rows}")
+        return real(t, *args)
+
+    monkeypatch.setattr(projnorm, name, failing)
+
+
+def test_failed_dependency_reports_like_the_reexpansion_path(monkeypatch):
+    # two degree-2 tableaux that degree-3 tableaux of (5,3) rest on fail their
+    # swap repair; each dependent reports the failure's text, as on the slow path
+    fam2 = _family(5, 2)
+    _inject_failures(monkeypatch, "swap_rewrite",
+                     {fam2[4].rows: LemmaViolation, fam2[0].rows: FlaggedCase})
+    report = family_check(5, 3)
+    violations, passed = _reexpansion_family_check(5, 3)
+    assert len(violations) == 7 and not report["ok"]
+    assert report["violations"] == violations
+    assert report["lemma_pass_counts"] == passed
+    assert report["reexpanded"] == passed["factorize"] == 31 - 7
+    # a stored failure is raised afresh with its type
+    memo: dict = {}
+    for _ in range(2):
+        with pytest.raises(FlaggedCase, match="injected failure"):
+            projnorm._certify(fam2[0].rows, 5, memo)
+
+
+def test_failed_correction_reports_like_the_reexpansion_path(monkeypatch):
+    # the (7,2) tableau that most others take as a correction fails its own
+    # step; the tableaux resting on it fail with its text, as on the slow path
+    uses = Counter(tuple(zip(*mono)) for t in _family(7, 2)
+                   for mono in swap_rewrite(t).corrections.terms)
+    (rows, count), = uses.most_common(1)
+    _inject_failures(monkeypatch, "_swap_repaired", {rows: FlaggedCase})
+    report = family_check(7, 2)
+    violations, passed = _reexpansion_family_check(7, 2)
+    assert len(violations) > count > 1
+    assert report["violations"] == violations
+    assert report["lemma_pass_counts"] == passed
+    assert report["reexpanded"] == passed["factorize"]
+
+
+def test_family_check_builds_no_factorization(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("family_check built or re-expanded a factorization")
+
+    monkeypatch.setattr(projnorm, "expand_factorization", unreachable)
+    monkeypatch.setattr(projnorm, "_combine", unreachable)
+    report = family_check(5, 3)
+    assert report["ok"] and report["reexpanded"] == report["family_size"] == 31
+
+
 def test_family_check_green():
     rep = family_check(5, 2)
     assert rep["ok"] and rep["family_size"] == 16
@@ -203,8 +301,9 @@ def test_family_check_green():
 
 
 def test_family_check_splits_each_tableau_once(monkeypatch):
-    # the 981 members and the 260 further tableaux the factorization reaches,
-    # each split once (the contract's swap repair reuses the family's split)
+    # the 981 members and the 260 further tableaux the certificate rests on,
+    # each split once (the certificate reuses the contract's swap repair,
+    # which reuses the family's split)
     split_of = []
     real_split = projnorm.split
 
