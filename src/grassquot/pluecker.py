@@ -6,12 +6,14 @@ rewrites any polynomial onto the standard monomial basis (sorted columns
 forming a componentwise chain); ``evaluate`` is the independent oracle
 sending p_tau to the minor on rows tau of a point matrix.
 
-Inside ``straighten`` a column is an integer code, its rank among the
-r-subsets of [n] (one bounded codec per ring, built on first use), and a
-coefficient is an integer: the input is scaled by the lcm of its
-denominators, which every exchange (signs +-1) preserves.  The output
-coefficients are ``Fraction``s again, and its terms come in descending
-monomial order, the order in which they are finished.
+The straightening loop is one private kernel, ``_straighten_codes``.  In
+it a column is an integer code, its rank among the r-subsets of [n] (one
+bounded codec per ring, built on first use), and a coefficient is an
+integer.  ``straighten`` wraps it: it encodes the input and scales it by
+the lcm of its denominators, which every exchange (signs +-1) preserves,
+and decodes the result to columns and ``Fraction`` coefficients, whose
+terms come in descending monomial order, the order in which they are
+finished.  ``projnorm`` calls the kernel directly on codes.
 """
 
 from __future__ import annotations
@@ -81,15 +83,6 @@ def tableau_to_poly(t: Tableau) -> PlueckerPoly:
 
 def _leq_cols(a: Column, b: Column) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def _first_violation(mono: Monomial) -> int | None:
-    """Index i of the first adjacent pair that is not componentwise ordered."""
-    for i in range(len(mono) - 1):
-        for x, y in zip(mono[i], mono[i + 1]):
-            if x > y:
-                return i
-    return None
 
 
 def _sort_sign(seq: tuple[int, ...]) -> tuple[int, Column] | None:
@@ -207,25 +200,58 @@ def _codec(r: int, n: int) -> _Codec:
     return _Codec(r, n)
 
 
+def _straighten_codes(pending: dict[tuple[int, ...], int], comparable: frozenset,
+                      exchange) -> dict[tuple[int, ...], int]:
+    """The straightening loop on integer column codes and coefficients.
+
+    ``pending`` maps sorted code tuples to nonzero integers and is consumed;
+    ``comparable`` and ``exchange`` are a codec's (or ``exchange_within``'s)
+    pairs and exchange terms.  The pending monomials sit in a max-heap keyed
+    by their negated codes ~c = -1 - c closed by 0: every entry lies below
+    the closing 0, so ascending keys are descending monomials, a proper
+    prefix being smaller.  A monomial is pushed when it enters ``pending``;
+    a popped monomial that has since cancelled is skipped, and no monomial
+    can re-enter once popped, so the pops come in descending order.  Returns
+    the standard monomials with their coefficients in the order they were
+    finished, which is descending monomial order.
+    """
+    heap = [(tuple(map(invert, m)) + (0,), m) for m in pending]
+    heapify(heap)
+    done: dict[tuple[int, ...], int] = {}
+    while heap:
+        mono = heappop(heap)[1]
+        coeff = pending.pop(mono, None)
+        if coeff is None:
+            continue
+        for i in range(len(mono) - 1):
+            if (mono[i], mono[i + 1]) not in comparable:
+                break
+        else:
+            done[mono] = coeff
+            continue
+        rest = mono[:i] + mono[i + 2:]
+        for sign, a, b in exchange(mono[i], mono[i + 1]):
+            m = tuple(sorted(rest + (a, b)))
+            if m not in pending:
+                heappush(heap, (tuple(map(invert, m)) + (0,), m))
+            add_into(pending, ((m, coeff * sign),))
+    return done
+
+
 def straighten(p: PlueckerPoly, within: tuple | None = None) -> PlueckerPoly:
     """Rewrite p onto the standard monomial basis.
 
     Processes the largest pending monomial first; every exchange replaces
     it by monomials that are strictly smaller in the sorted-column
-    lexicographic order, so the loop terminates.  The loop runs on the
-    ring's integer column codes (``_codec``), whose order is the column
-    order, and on integer coefficients: the input is scaled by the lcm D
-    of its denominators, every exchange has sign +-1, and the output
-    coefficients are v/D as ``Fraction``.  The pending monomials sit in a
-    max-heap keyed by their negated codes ~c = -1 - c closed by 0: every
-    entry lies below the closing 0, so ascending keys are descending
-    monomials, a proper prefix being smaller.  A monomial is pushed when
-    it enters ``pending``; a popped monomial that has since cancelled is
-    skipped, and no monomial can re-enter once popped, so the pops come
-    in descending order.  Each finished monomial is decoded once, and the
-    result lists its terms in the order they were finished, which is
-    descending monomial order.  A column that is not an increasing
-    r-subset of [n] raises ValueError naming the column and the ring.
+    lexicographic order, so the loop terminates.  The loop is
+    ``_straighten_codes``, on the ring's integer column codes (``_codec``),
+    whose order is the column order, and on integer coefficients: the
+    input is scaled by the lcm D of its denominators, every exchange has
+    sign +-1, and the output coefficients are v/D as ``Fraction``.  Each
+    finished monomial is decoded once, and the result lists its terms in
+    the order they were finished, which is descending monomial order.  A
+    column that is not an increasing r-subset of [n] raises ValueError
+    naming the column and the ring.
 
     ``within=(w, v)`` straightens modulo the ideal of the Richardson
     variety X_w^v and returns ``restrict_schubert(straighten(p), w, v)``,
@@ -240,7 +266,7 @@ def straighten(p: PlueckerPoly, within: tuple | None = None) -> PlueckerPoly:
     restriction drops.
     """
     codec = _codec(p.r, p.n)
-    comparable, exchange = codec.comparable, codec.exchange
+    exchange = codec.exchange
     denom = 1
     for c in p.terms.values():
         denom = lcm(denom, c.denominator)
@@ -251,29 +277,11 @@ def straighten(p: PlueckerPoly, within: tuple | None = None) -> PlueckerPoly:
         inside = codec.interval(*within)
         pending = {m: c for m, c in pending.items() if inside.issuperset(m)}
         exchange = codec.exchange_within(inside)
-    heap = [(tuple(map(invert, m)) + (0,), m) for m in pending]
-    heapify(heap)
-    done: dict[Monomial, Fraction] = {}
     columns = codec.columns
-    while heap:
-        mono = heappop(heap)[1]
-        coeff = pending.pop(mono, None)
-        if coeff is None:
-            continue
-        for i in range(len(mono) - 1):
-            if (mono[i], mono[i + 1]) not in comparable:
-                break
-        else:
-            done[tuple([columns[c] for c in mono])] = Fraction(coeff, denom)
-            continue
-        rest = mono[:i] + mono[i + 2:]
-        for sign, a, b in exchange(mono[i], mono[i + 1]):
-            m = tuple(sorted(rest + (a, b)))
-            if m not in pending:
-                heappush(heap, (tuple(map(invert, m)) + (0,), m))
-            add_into(pending, ((m, coeff * sign),))
     out = PlueckerPoly(p.r, p.n)
-    out.terms = done  # sorted monomials, nonzero Fractions
+    out.terms = {tuple([columns[c] for c in mono]): Fraction(coeff, denom)
+                 for mono, coeff in _straighten_codes(pending, codec.comparable,
+                                                      exchange).items()}
     return out
 
 

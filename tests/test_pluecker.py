@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassquot import g37
-from grassquot.pluecker import (PlueckerPoly, _codec, _exchange_terms,
-                                _first_violation, _leq_cols, evaluate, minor,
-                                restrict_schubert, straighten, tableau_to_poly,
-                                verify_relation)
+from grassquot.pluecker import (PlueckerPoly, _codec, _exchange_terms, _leq_cols,
+                                evaluate, minor, restrict_schubert, straighten,
+                                tableau_to_poly, verify_relation)
 from grassquot.symbolic import add_into, sparse_rank
 from grassquot.tableaux import (Tableau, count_invariants, enumerate_invariants,
                                 is_zero_weight)
@@ -21,6 +20,15 @@ def random_point_matrix(rng: random.Random, n: int, r: int, bound: int = 9):
     """An n x r matrix of random integers in [-bound, bound], as Fractions."""
     return tuple(tuple(Fraction(rng.randint(-bound, bound)) for _ in range(r))
                  for _ in range(n))
+
+
+def _first_violation(mono) -> int | None:
+    """Index i of the first adjacent pair that is not componentwise ordered."""
+    for i in range(len(mono) - 1):
+        for x, y in zip(mono[i], mono[i + 1]):
+            if x > y:
+                return i
+    return None
 
 
 def is_standard(p: PlueckerPoly) -> bool:

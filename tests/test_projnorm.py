@@ -1,15 +1,17 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from grassquot import projnorm
-from grassquot.pluecker import PlueckerPoly, straighten, tableau_to_poly
+from grassquot import pluecker, projnorm
+from grassquot.pluecker import PlueckerPoly, _codec, straighten, tableau_to_poly
 from grassquot.projnorm import (FlaggedCase, LemmaViolation, defect_profile,
                                 expand_factorization, factorize, family_check,
-                                mod_m_symmetry, s_blocks, split,
+                                mod_m_symmetry, position_table, s_blocks, split,
                                 surjectivity_oracle, swap_rewrite)
+from grassquot.symbolic import add_into
 from grassquot.tableaux import (Tableau, deglex_key, enumerate_invariants,
                                 is_zero_weight)
 from grassquot.weyl import gamma_tableau
@@ -63,7 +65,7 @@ def test_minimal_tableau_has_balanced_selection():
     assert deglex_key(t) == min(deglex_key(u) for u in _family(5, 2))
     s = split(t, 2)
     assert is_zero_weight(s.mu)
-    assert defect_profile(s).defects == ()
+    assert defect_profile(t.rows, 2, 5).defects == ()
 
 
 def test_minimal_tableau_factors_into_shifted_selections():
@@ -81,7 +83,7 @@ def test_minimal_tableau_factors_into_shifted_selections():
 def test_defect_alternation_exhaustively():
     for n, m in [(5, 2), (5, 3), (7, 2)]:
         for t in _family(n, m):
-            profile = defect_profile(split(t, m))
+            profile = defect_profile(t.rows, m, n)
             counts = profile.multiplicity
             assert all(counts[i] >= 1 for i in range(1, n + 1))
             assert len(profile.defects) % 2 == 0
@@ -89,46 +91,75 @@ def test_defect_alternation_exhaustively():
                 assert counts[i] == (3 if idx % 2 == 1 else 1)
 
 
+def row_positions(t, i):
+    """First/last 1-based columns where value i occurs in each row, by
+    scanning the rows for i: the slow oracle for ``position_table``."""
+    top, bottom = t.rows[0], t.rows[1]
+
+    def first(row):
+        return row.index(i) + 1 if i in row else None
+
+    def last(row):
+        return len(row) - row[::-1].index(i) if i in row else None
+
+    return {"f_top": first(top), "l_top": last(top),
+            "f_bottom": first(bottom), "l_bottom": last(bottom)}
+
+
+def test_position_table_matches_row_scans():
+    for n, m in [(5, 1), (5, 2), (5, 3), (7, 2), (7, 3)]:
+        for t in _family(n, m):
+            pos = position_table(t.rows, n)
+            for i in range(1, n + 1):
+                assert [col[i] for col in pos] == list(row_positions(t, i).values())
+
+
 def test_mod_m_symmetry():
     g = gamma_tableau(2, 5)
-    rep = mod_m_symmetry(g, 3, 1)
-    assert rep["both_rows"] and rep["congruence_holds"]
+    assert mod_m_symmetry(position_table(g.rows, 5), 3, 1) is True
     # a value in a single row makes the law vacuous (None)
     t = _family(5, 2)[0]
-    reps = [mod_m_symmetry(t, i, 2) for i in range(1, 6)]
-    assert [r["congruence_holds"] for r in reps] == [None, None, None, True, None]
+    pos = position_table(t.rows, 5)
+    assert [mod_m_symmetry(pos, i, 2) for i in range(1, 6)] == [None, None, None, True, None]
     for n, m in [(5, 2), (5, 3), (7, 2)]:
         for t in _family(n, m):
+            pos = position_table(t.rows, n)
             for i in range(1, n + 1):
-                mod_m_symmetry(t, i, m)  # raises on violation
+                mod_m_symmetry(pos, i, m)  # raises on violation
+    # first occurrences of 2 at columns 2 and 1: residue 1 mod 2
+    bad = Tableau(((1, 2, 3, 3), (2, 3, 4, 4)), 4)
+    with pytest.raises(LemmaViolation, match=re.escape(
+            "first-occurrence residues of 2 violate the mod-2 law: "
+            "{'f_top': 2, 'l_top': 2, 'f_bottom': 1, 'l_bottom': 1}")):
+        mod_m_symmetry(position_table(bad.rows, 4), 2, 2)
 
 
 def test_s_blocks_structure_exhaustively():
     for n, m in [(5, 2), (5, 3), (7, 2)]:
         for t in _family(n, m):
-            profile = defect_profile(split(t, m))
-            blocks = s_blocks(t, profile, m)
+            profile = defect_profile(t.rows, m, n)
+            blocks = s_blocks(t.rows, position_table(t.rows, n), profile, m)
             assert len(blocks) == len(profile.defects) // 2
             for b in blocks:
                 assert len(b.pairs) >= 1
-                first = b.entries(t, 0)
-                last = b.entries(t, len(b.pairs) - 1)
+                first = b.entries(t.rows, 0)
+                last = b.entries(t.rows, len(b.pairs) - 1)
                 assert first[2] == b.defect
                 assert last[3] == b.next_defect
                 for k in range(len(b.pairs)):
-                    e = b.entries(t, k)
+                    e = b.entries(t.rows, k)
                     assert e[2] >= e[1]  # bottom-left at least top-right
 
 
 def test_block_moves_are_strict_and_move_one_defect_unit():
     for n, m in [(5, 2), (5, 3), (7, 2), (7, 3)]:
         for t in _family(n, m):
-            for b in s_blocks(t, defect_profile(split(t, m)), m):
-                moves = projnorm._find_block_moves(t, b)
+            for b in projnorm._lemmas(t.rows, m, n)[1]:
+                moves = projnorm._find_block_moves(t.rows, b)
                 assert len(moves) == len(b.pairs)
                 change = Counter()  # values gained minus values lost by the selected columns
                 for k, move in enumerate(moves):
-                    e = b.entries(t, k)
+                    e = b.entries(t.rows, k)
                     new1, new2 = projnorm._apply_move(move, e)
                     assert new1[0] < new1[1] and new2[0] < new2[1], (t.rows, b, move)
                     change.update(new1)
@@ -195,18 +226,133 @@ def test_factorize_terminates_on_larger_families():
         assert (expand_factorization(fact, 7) - tableau_to_poly(t)).is_zero()
 
 
+def _code_key(t):
+    return _codec(2, t.n).encode(t.columns())
+
+
 def test_certificate_agrees_with_reexpansion_exhaustively():
     # the induction (fast path) and the factorization multiplied back out
     # (slow oracle) accept every tableau, and rest on the same tableaux
     for n, m in [(5, 3), (7, 2)]:
+        codec = _codec(2, n)
         certified: dict = {}
         factorized: dict = {}
         for t in _family(n, m):
-            projnorm._certify(t.rows, n, certified)
+            projnorm._certify(_code_key(t), codec, certified)
             fact = factorize(t, factorized)
             assert (expand_factorization(fact, n) - tableau_to_poly(t)).is_zero()
         assert set(certified.values()) == {None}
-        assert set(certified) == {rows for rows in factorized if len(rows[0]) > n}
+        assert ({tuple(zip(*(codec.columns[c] for c in key))) for key in certified}
+                == {rows for rows in factorized if len(rows[0]) > n})
+
+
+def _fraction_swap_step(t, m, profile, blocks):
+    """The swap-repair step on PlueckerPoly and Fraction objects, the slow
+    oracle for projnorm._step: (mu', nu' columns, corrections, case).  It
+    straightens the whole expansion back to p_t, then straightens the rest."""
+    n = t.n
+    if not profile.defects:
+        s = split(t, m)
+        return s.mu, tuple(s.nu.columns()), PlueckerPoly.zero(2, n), "defect-free"
+    used = set()
+    for b in blocks:
+        cols = {c for pair in b.pairs for c in pair}
+        if used & cols:
+            raise FlaggedCase(f"blocks share columns near defect {b.defect}")
+        used |= cols
+    cols = t.columns()
+    options = []
+    case = "bottom-swaps"
+    for b in blocks:
+        moves = projnorm._find_block_moves(t.rows, b)
+        if any(mv in ("T", "C", "N") for mv in moves):
+            case = "mixed-swaps"
+        for k, ((c1, c2), mv) in enumerate(zip(b.pairs, moves)):
+            e = b.entries(t.rows, k)
+            new1, new2 = projnorm._apply_move(mv, e)
+            cols[c1 - 1], cols[c2 - 1] = new1, new2
+            p, q, r, s_ = e
+            if mv in ("B", "T") and p < q and r < s_:
+                options.append([(new1, new2), ((p, q), (r, s_))])
+            else:
+                options.append([(new1, new2)])
+    untouched = [c for j, c in enumerate(cols, start=1) if j not in used]
+    mu_cols = cols[::m]
+    nu_cols = [c for j, c in enumerate(cols) if j % m]
+    try:
+        mu_prime = Tableau.from_columns(mu_cols, n, r=2)
+    except ValueError as exc:
+        raise LemmaViolation(
+            f"swapped selected columns {mu_cols} form no tableau: {exc}") from None
+    if not is_zero_weight(mu_prime):
+        raise LemmaViolation(f"swapped selected columns not balanced: {mu_cols}")
+    expansion = {tuple(sorted(untouched)): Fraction(1)}
+    for opt in options:
+        expansion = add_into({}, ((tuple(sorted(mono + pair)), c)
+                                  for mono, c in expansion.items() for pair in opt))
+    if not (straighten(PlueckerPoly(2, n, expansion)) - tableau_to_poly(t)).is_zero():
+        raise LemmaViolation("pair expansion does not straighten back to the input")
+    main_key = tuple(sorted(cols))
+    rest = dict(expansion)
+    coeff = rest.pop(main_key, Fraction(0))
+    if coeff == 0:
+        raise LemmaViolation("swapped monomial missing from its own expansion")
+    if coeff != 1:
+        rest[main_key] = coeff - 1
+    corrections = straighten(PlueckerPoly(2, n, rest))
+    for mono in corrections.terms:
+        if (len(mono), tuple(mono)) >= deglex_key(t):
+            raise LemmaViolation(f"correction monomial {mono} not smaller than the input")
+    return mu_prime, tuple(sorted(nu_cols)), corrections, case
+
+
+def _oracle_step(t):
+    m = t.d // t.n
+    return _fraction_swap_step(t, m, *projnorm._lemmas(t.rows, m, t.n))
+
+
+def _assert_same_step(t):
+    mu, nu, corrections, case = _oracle_step(t)
+    sr = swap_rewrite(t)
+    assert (sr.mu_prime, sr.nu_prime_columns, sr.case) == (mu, nu, case), t.rows
+    got = list(sr.corrections.terms.items())
+    assert got == list(corrections.terms.items()), t.rows
+    assert all(type(c) is Fraction for _, c in got)
+
+
+def test_code_step_matches_the_fraction_step():
+    # every tableau of the nine G(2,n) families the benchmark certifies, and
+    # 200 seeded (9,2) tableaux with their wider blocks
+    for n, m in [(5, 2), (5, 3), (5, 4), (5, 5), (5, 6), (5, 7), (5, 8), (7, 2), (7, 3)]:
+        for t in _family(n, m):
+            _assert_same_step(t)
+    cases = Counter()
+    for t in random.Random(2027).sample(_family(9, 2), 200):
+        _assert_same_step(t)
+        cases[swap_rewrite(t).case] += 1
+    assert cases["mixed-swaps"] > 0 and cases["bottom-swaps"] > 0
+
+
+def test_degree_lex_guard_rejects_a_correction_equal_to_the_input(monkeypatch):
+    # every straightening also returns p_t when it is missing: the expansion
+    # still straightens back to p_t, and p_t turns up among the corrections,
+    # which the guard must reject in both steps with the same message
+    real = pluecker._straighten_codes
+    defected = [t for t in _family(7, 2) if projnorm._lemmas(t.rows, 2, 7)[0].defects]
+    for t in defected[:20]:
+        key = _code_key(t)
+
+        def with_input(pending, comparable, exchange):
+            done = real(pending, comparable, exchange)
+            return done if key in done else {key: 1, **done}
+
+        monkeypatch.setattr(pluecker, "_straighten_codes", with_input)
+        monkeypatch.setattr(projnorm, "_straighten_codes", with_input)
+        message = re.escape(f"correction monomial {tuple(t.columns())} not smaller than the input")
+        with pytest.raises(LemmaViolation, match=message):
+            _oracle_step(t)
+        with pytest.raises(LemmaViolation, match=message):
+            swap_rewrite(t)
 
 
 def _reexpansion_family_check(n, m):
@@ -218,13 +364,13 @@ def _reexpansion_family_check(n, m):
     memo: dict = {}
     for t in _family(n, m):
         try:
-            s = split(t, m)
-            profile = defect_profile(s)
+            profile = defect_profile(t.rows, m, n)
             passed["defect_laws"] += 1
+            pos = position_table(t.rows, n)
             for i in range(1, n + 1):
-                mod_m_symmetry(t, i, m)
+                mod_m_symmetry(pos, i, m)
             passed["residue_law"] += 1
-            s_blocks(t, profile, m)
+            s_blocks(t.rows, pos, profile, m)
             passed["block_laws"] += 1
             swap_rewrite(t)
             passed["swap_contract"] += 1
@@ -237,24 +383,24 @@ def _reexpansion_family_check(n, m):
     return violations, passed
 
 
-def _inject_failures(monkeypatch, name, broken):
-    """Make projnorm.<name> raise broken[t.rows](message) on those tableaux."""
-    real = getattr(projnorm, name)
+def _inject_failures(monkeypatch, broken):
+    """Make projnorm._step raise broken[rows](message) on the tableaux with
+    those rows, for family_check, _certify and swap_rewrite alike."""
+    real = projnorm._step
 
-    def failing(t, *args):
-        if t.rows in broken:
-            raise broken[t.rows](f"injected failure at {t.rows}")
-        return real(t, *args)
+    def failing(rows, *args):
+        if rows in broken:
+            raise broken[rows](f"injected failure at {rows}")
+        return real(rows, *args)
 
-    monkeypatch.setattr(projnorm, name, failing)
+    monkeypatch.setattr(projnorm, "_step", failing)
 
 
 def test_failed_dependency_reports_like_the_reexpansion_path(monkeypatch):
     # two degree-2 tableaux that degree-3 tableaux of (5,3) rest on fail their
     # swap repair; each dependent reports the failure's text, as on the slow path
     fam2 = _family(5, 2)
-    _inject_failures(monkeypatch, "swap_rewrite",
-                     {fam2[4].rows: LemmaViolation, fam2[0].rows: FlaggedCase})
+    _inject_failures(monkeypatch, {fam2[4].rows: LemmaViolation, fam2[0].rows: FlaggedCase})
     report = family_check(5, 3)
     violations, passed = _reexpansion_family_check(5, 3)
     assert len(violations) == 7 and not report["ok"]
@@ -265,7 +411,7 @@ def test_failed_dependency_reports_like_the_reexpansion_path(monkeypatch):
     memo: dict = {}
     for _ in range(2):
         with pytest.raises(FlaggedCase, match="injected failure"):
-            projnorm._certify(fam2[0].rows, 5, memo)
+            projnorm._certify(_code_key(fam2[0]), _codec(2, 5), memo)
 
 
 def test_failed_correction_reports_like_the_reexpansion_path(monkeypatch):
@@ -274,7 +420,7 @@ def test_failed_correction_reports_like_the_reexpansion_path(monkeypatch):
     uses = Counter(tuple(zip(*mono)) for t in _family(7, 2)
                    for mono in swap_rewrite(t).corrections.terms)
     (rows, count), = uses.most_common(1)
-    _inject_failures(monkeypatch, "_swap_repaired", {rows: FlaggedCase})
+    _inject_failures(monkeypatch, {rows: FlaggedCase})
     report = family_check(7, 2)
     violations, passed = _reexpansion_family_check(7, 2)
     assert len(violations) > count > 1
@@ -302,18 +448,17 @@ def test_family_check_green():
 
 def test_family_check_splits_each_tableau_once(monkeypatch):
     # the 981 members and the 260 further tableaux the certificate rests on,
-    # each split once (the certificate reuses the contract's swap repair,
-    # which reuses the family's split)
-    split_of = []
-    real_split = projnorm.split
+    # each split and stepped once (the certificate reuses the contract's step)
+    stepped = []
+    real_step = projnorm._step
 
-    def counting_split(t, m):
-        split_of.append(t.rows)
-        return real_split(t, m)
+    def counting_step(rows, *args):
+        stepped.append(rows)
+        return real_step(rows, *args)
 
-    monkeypatch.setattr(projnorm, "split", counting_split)
+    monkeypatch.setattr(projnorm, "_step", counting_step)
     report = family_check(7, 3)
-    assert len(split_of) == 1241
+    assert len(stepped) == len(set(stepped)) == 1241
     assert report == {
         "n": 7, "m": 3, "family_size": 981, "checked": 981, "defected": 945,
         "cases": {"bottom-swaps": 825, "defect-free": 36, "mixed-swaps": 120},
@@ -337,9 +482,9 @@ def test_defect_profile_flags_non_invariant_input():
     # semistandard but not balanced: the alternation law fails and is reported
     rows = ((1, 1, 1, 1, 2, 2, 2, 2, 3, 3),
             (2, 2, 3, 3, 3, 4, 4, 5, 5, 5))
-    t = Tableau(rows, 5)
+    Tableau(rows, 5)  # a valid tableau
     with pytest.raises(LemmaViolation):
-        defect_profile(split(t, 2))
+        defect_profile(rows, 2, 5)
 
 
 def test_family_beyond_the_core_cases():

@@ -52,6 +52,7 @@ COMMANDS = (
     [["projnorm", "--n", str(n), "--m", str(m), "--exhaustive", "--oracle", "--json"]
      for n, m in G2N_FAMILIES]
     + [["projnorm", "--n", "7", "--m", "2", "--sample", "60", "--json"],
+       ["projnorm", "--n", "9", "--m", "2", "--sample", "200", "--json"],
        ["acceptance", "--json"],
        ["acceptance"],
        ["verify-relations", "--json"],
